@@ -145,13 +145,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
+# Config fields are checked before use; a bad one is a usage error naming
+# the field.  A missing required key raises KeyError ("missing key").
+def _positive_int(config: dict, key: str, default: int | None = None) -> int:
+    value = config[key] if default is None else config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _string(config: dict, key: str) -> str:
+    value = config[key]
+    if not isinstance(value, str):
+        raise ValueError(f"config field {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _string_list(config: dict, key: str) -> list[str]:
+    value = config[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"config field {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def _run_fiber_orbits(config: dict) -> tuple[dict, str]:
     configs = fiber_orbit_configs(
-        int(config["total_euler"]),
-        config["allowed_at_zero"],
-        config["allowed_at_inf"],
-        config["orbit_allowed"],
-        int(config.get("orbit_size", 11)),
+        _positive_int(config, "total_euler"),
+        _string_list(config, "allowed_at_zero"),
+        _string_list(config, "allowed_at_inf"),
+        _string_list(config, "orbit_allowed"),
+        _positive_int(config, "orbit_size", default=11),
     )
     report = {
         "kind": "fiber_orbits",
@@ -164,7 +187,7 @@ def _run_fiber_orbits(config: dict) -> tuple[dict, str]:
 
 
 def _run_order22(config: dict) -> tuple[dict, str]:
-    report = order22_replay(config["scenario"]).as_report()
+    report = order22_replay(_string(config, "scenario")).as_report()
     lines = [
         f"scenario {report['scenario']}: {report['survivors']} survivor(s) "
         f"out of {len(report['candidates'])} candidate(s)"
@@ -176,7 +199,7 @@ def _run_order22(config: dict) -> tuple[dict, str]:
 
 
 def _run_lefschetz(config: dict) -> tuple[dict, str]:
-    pattern = parse_pattern(config["pattern"])
+    pattern = parse_pattern(_string(config, "pattern"))
     value = lefschetz_number(pattern)
     report = {
         "kind": "lefschetz",
@@ -205,8 +228,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(config, dict):
+        print(f"error: {args.config} must hold a JSON object, not "
+              f"{type(config).__name__}", file=sys.stderr)
+        return EXIT_USAGE
     kind = config.get("kind")
-    runner = _SCENARIO_KINDS.get(kind)
+    runner = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         known = ", ".join(sorted(_SCENARIO_KINDS))
         print(f"error: unknown scenario kind {kind!r}; known: {known}",

@@ -2,25 +2,26 @@
 
 The discriminant convention is Delta = 4a^3 + 27b^2 (no extra unit).  Fiber
 types at finite places come from the valuation triple (v_a, v_b, v_Delta)
-through the residue-characteristic-zero table; the place at infinity is
-handled by the coordinate flip u = 1/t with a, b rescaled by u^{4k}, u^{6k}
-where k is minimal with deg a <= 4k and deg b <= 6k (and k >= 1).  Euler
-numbers obey sum(degree * e) = 12k exactly when the model is relatively
-minimal; a failed match is reported, never silently repaired.
+through the residue-characteristic-zero table.  At infinity the triple is
+read from degrees: (4k - deg a, 6k - deg b, 12k - deg Delta), where k is
+minimal with deg a <= 4k and deg b <= 6k (and k >= 1); these are the
+valuations at u = 0 after the coordinate flip u = 1/t with a, b rescaled by
+u^{4k}, u^{6k} (``flip_model``); a zero coefficient has valuation OMEGA.
+Euler numbers obey sum(degree * e) = 12k exactly when the model is
+relatively minimal; a failed match is reported, never silently repaired.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ContextMismatchError,
     InconsistentValuationsError,
     InvalidModelError,
 )
-from .polyfield import OMEGA, FieldContext, Place, Poly, gcdfree_basis, valuation
+from .polyfield import OMEGA, FieldContext, Place, Poly, gcdfree_basis, poly_gcd
 
 NON_MINIMAL = "NON_MINIMAL"
 
@@ -122,16 +123,20 @@ def kodaira_type_from_valuations(v_a, v_b, v_delta) -> str:
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 = x^3 + a(t) x + b(t) with 4a^3 + 27b^2 not identically zero."""
+    """y^2 = x^3 + a(t) x + b(t) with 4a^3 + 27b^2 not identically zero.
+    The discriminant is computed once, here, and kept as ``delta``."""
 
     a: Poly
     b: Poly
+    delta: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.context != self.b.context:
             raise ContextMismatchError("a and b over different contexts")
-        if (4 * self.a ** 3 + 27 * self.b ** 2).is_zero:
+        delta = 4 * self.a ** 3 + 27 * self.b ** 2
+        if delta.is_zero:
             raise InvalidModelError("discriminant 4a^3 + 27b^2 vanishes identically")
+        object.__setattr__(self, "delta", delta)
 
     @property
     def context(self) -> FieldContext:
@@ -149,15 +154,13 @@ class WeierstrassModel:
 
 
 def discriminant(model: WeierstrassModel) -> Poly:
-    return 4 * model.a ** 3 + 27 * model.b ** 2
+    return model.delta
 
 
 def j_map(model: WeierstrassModel) -> tuple[Poly, Poly]:
     """J = 4a^3 / (4a^3 + 27b^2) in lowest terms, denominator monic."""
-    from .polyfield import poly_gcd
-
     num = 4 * model.a ** 3
-    den = discriminant(model)
+    den = model.delta
     if num.is_zero:
         return Poly.zero(model.context), Poly.constant(model.context, 1)
     g = poly_gcd(num, den)
@@ -168,7 +171,8 @@ def j_map(model: WeierstrassModel) -> tuple[Poly, Poly]:
 
 def flip_model(model: WeierstrassModel) -> WeierstrassModel:
     """The same surface in the coordinate u = 1/t: coefficients reversed
-    after padding a to degree 4k and b to degree 6k."""
+    after padding a to degree 4k and b to degree 6k.  Its fiber at u = 0 is
+    the fiber at infinity that ``analyze_fibers`` reads from degrees."""
     k = model.k
 
     def reverse(p: Poly, length: int) -> Poly:
@@ -253,10 +257,6 @@ class FiberAnalysis:
     def expected_euler(self) -> int:
         return 12 * self.k
 
-    @property
-    def singular_fibers(self) -> tuple[KodairaFiber, ...]:
-        return tuple(f for f in self.fibers if f.is_singular)
-
     def as_report(self) -> dict:
         return {
             "k": self.k,
@@ -276,42 +276,32 @@ def _classify(place: Place, v_a, v_b, v_delta: int) -> KodairaFiber:
 
 def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
     """Classify the fiber over every place in the gcd-free basis of
-    {a, b, Delta} and over infinity, with exact Euler bookkeeping."""
-    delta = discriminant(model)
-    inputs = [p for p in (model.a, model.b, delta) if not p.is_zero]
-    if any(not p.is_constant for p in inputs):
-        basis, _ = gcdfree_basis(inputs)
-    else:
-        basis = []
+    {a, b, Delta} and over infinity, with exact Euler bookkeeping.
 
+    Finite valuations are the basis's exponent rows (OMEGA for a zero a or
+    b); at infinity they are 4k - deg a, 6k - deg b and 12k - deg Delta."""
+    k = model.k
+    polys = (model.a, model.b, model.delta)
     fibers = []
-    for generator in basis:
-        place = Place.finite(generator)
-        fibers.append(
-            _classify(
-                place,
-                valuation(model.a, place),
-                valuation(model.b, place),
-                valuation(delta, place),
-            )
-        )
+    if any(not p.is_constant for p in polys):
+        basis, exponents = gcdfree_basis([p for p in polys if not p.is_zero])
+        rows = iter(exponents)
+        columns = [[OMEGA] * len(basis) if p.is_zero else next(rows) for p in polys]
+        for generator, v_a, v_b, v_delta in zip(basis, *columns):
+            fibers.append(_classify(Place.finite(generator), v_a, v_b, v_delta))
 
-    flipped = flip_model(model)
-    origin = Place.finite(Poly.variable(model.context))
-    at_origin = _classify(
-        origin,
-        valuation(flipped.a, origin),
-        valuation(flipped.b, origin),
-        valuation(discriminant(flipped), origin),
-    )
-    fibers.append(dataclasses.replace(at_origin, place=Place.infinity()))
+    at_infinity = [
+        OMEGA if p.is_zero else weight * k - p.degree
+        for p, weight in zip(polys, (4, 6, 12))
+    ]
+    fibers.append(_classify(Place.infinity(), *at_infinity))
 
     fibers_tuple = tuple(fibers)
     minimal = all(f.minimalization_steps == 0 for f in fibers_tuple)
     analysis = FiberAnalysis(
-        k=model.k,
+        k=k,
         fibers=fibers_tuple,
-        surface=SurfaceClass.from_k(model.k),
+        surface=SurfaceClass.from_k(k),
         relatively_minimal=minimal,
     )
     if minimal and analysis.euler_total != analysis.expected_euler:

@@ -140,11 +140,6 @@ class CyclotomicMultiset:
         return self.as_literal() or "(empty)"
 
 
-def trace_of_multiset(m: CyclotomicMultiset) -> int:
-    """Sum of the eigenvalues, always a rational integer."""
-    return m.trace
-
-
 @dataclass(frozen=True)
 class IsometryPattern:
     """Eigenvalue pattern of an isometry split along S (algebraic) and T

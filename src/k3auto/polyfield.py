@@ -23,6 +23,11 @@ from .errors import (
 Rationalish = Union[int, Fraction]
 
 
+# Squarefreeness of d is checked by trial division up to sqrt(|d|), so |d|
+# is capped: at 10^10 the worst case (a prime) takes about 10^5 steps.
+MAX_ABS_D = 10 ** 10
+
+
 def _is_squarefree_int(n: int) -> bool:
     n = abs(n)
     if n == 0:
@@ -35,19 +40,10 @@ def _is_squarefree_int(n: int) -> bool:
     return True
 
 
-def _is_square_int(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class FieldContext:
-    """Ground field: the rationals, or Q(sqrt(d)) for squarefree non-square d.
+    """Ground field: the rationals, or Q(sqrt(d)) for squarefree d != 1 with
+    |d| <= MAX_ABS_D (a squarefree d > 1 is never a square).
 
     Two contexts are interchangeable exactly when they are equal; arithmetic
     between elements of unequal contexts raises ContextMismatchError.
@@ -57,7 +53,9 @@ class FieldContext:
 
     def __post_init__(self):
         if self.d is not None:
-            if _is_square_int(self.d) or not _is_squarefree_int(self.d):
+            if abs(self.d) > MAX_ABS_D:
+                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {self.d}")
+            if self.d == 1 or not _is_squarefree_int(self.d):
                 raise ValueError(f"d must be squarefree and not a square, got {self.d}")
 
     @property
@@ -112,10 +110,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return not self.x and not self.y
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.y
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -245,10 +239,6 @@ class _Omega:
 OMEGA = _Omega()
 
 
-def _coeff_key(c: FieldElement):
-    return (c.x, c.y)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial in t over a FieldContext."""
@@ -282,10 +272,6 @@ class Poly:
     @classmethod
     def variable(cls, context: FieldContext) -> "Poly":
         return cls.make(context, [0, 1])
-
-    @classmethod
-    def monomial(cls, context: FieldContext, coeff, power: int) -> "Poly":
-        return cls.make(context, [0] * power + [coeff])
 
     @classmethod
     def zero(cls, context: FieldContext) -> "Poly":
@@ -444,7 +430,7 @@ class Poly:
         return acc
 
     def sort_key(self):
-        return (self.degree, tuple(_coeff_key(c) for c in reversed(self.coefficients)))
+        return (self.degree, tuple(c.sort_key() for c in reversed(self.coefficients)))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -629,7 +615,7 @@ def valuation(p: Poly, place: Place):
     """Largest m with generator^m dividing p; OMEGA for the zero polynomial.
 
     The infinite place has no direct valuation here; the elliptic-surface
-    layer handles it through the coordinate flip t -> 1/t.
+    layer reads it from degrees (4k - deg a, 6k - deg b, 12k - deg Delta).
     """
     if place.is_infinite:
         raise InvalidPlaceError("valuation at infinity is handled by the surface layer")

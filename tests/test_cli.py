@@ -113,7 +113,12 @@ def test_surface_analyze_parse_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["w2=0", "w2=4", "w2=x", "d=-3"])
+@pytest.mark.parametrize("field", [
+    "w2=0", "w2=4", "w2=x", "d=-3", "w2=1",
+    # over the |d| cap: once an OverflowError, once an unbounded trial division
+    pytest.param("w2=1" + "0" * 309, id="w2=10^309"),
+    "w2=1000000000000000000000000000057",
+])
 def test_bad_field_spec_is_usage_error(capsys, field):
     code, _, _ = run(
         capsys, ["surface", "analyze", "--a", "0", "--b", "t", "--field", field]
@@ -162,14 +167,17 @@ def write_scenario(tmp_path, payload):
     return str(path)
 
 
+FIBER_ORBITS = {
+    "kind": "fiber_orbits",
+    "total_euler": 24,
+    "allowed_at_zero": ["I0", "II"],
+    "allowed_at_inf": ["I0", "II"],
+    "orbit_allowed": ["I1", "I2", "II"],
+}
+
+
 def test_enumerate_fiber_orbits(capsys, tmp_path):
-    path = write_scenario(tmp_path, {
-        "kind": "fiber_orbits",
-        "total_euler": 24,
-        "allowed_at_zero": ["I0", "II"],
-        "allowed_at_inf": ["I0", "II"],
-        "orbit_allowed": ["I1", "I2", "II"],
-    })
+    path = write_scenario(tmp_path, FIBER_ORBITS)
     code, out, _ = run(capsys, ["enumerate", path])
     assert code == 0
     report = json.loads(out)
@@ -240,6 +248,22 @@ def test_enumerate_missing_key(capsys, tmp_path):
     code, _, err = run(capsys, ["enumerate", path])
     assert code == 2
     assert "missing key" in err
+
+
+@pytest.mark.parametrize("payload, named", [
+    ([FIBER_ORBITS], "JSON object"),
+    ({**FIBER_ORBITS, "orbit_size": 0}, "'orbit_size'"),
+    ({**FIBER_ORBITS, "allowed_at_zero": "I0"}, "'allowed_at_zero'"),
+    ({**FIBER_ORBITS, "total_euler": "24"}, "'total_euler'"),
+    ({"kind": ["lefschetz"]}, "unknown scenario kind"),
+    ({"kind": "lefschetz", "pattern": 5}, "'pattern'"),
+    ({"kind": "order22", "scenario": ["lemma9"]}, "'scenario'"),
+], ids=["list", "orbit_size_0", "allowed_string", "total_euler_string",
+        "kind_list", "pattern_int", "scenario_list"])
+def test_enumerate_malformed_config(capsys, tmp_path, payload, named):
+    code, _, err = run(capsys, ["enumerate", write_scenario(tmp_path, payload)])
+    assert code == 2
+    assert named in err
 
 
 def test_enumerate_rank_mismatch_pattern(capsys, tmp_path):

@@ -22,7 +22,6 @@ from k3auto.isometry import (
     char_poly_decompositions,
     lefschetz_number,
     local_curve_possible,
-    trace_of_multiset,
 )
 from k3auto.parsing import parse_multiset, parse_pattern
 
@@ -50,7 +49,7 @@ def test_block_trace_matches_cyclotomic_polynomial():
         block = CyclotomicMultiset.from_counts({d: 1})
         assert block.rank == degree == int(totient(d))
         expected = -int(poly.nth(degree - 1)) if degree >= 1 else 1
-        assert trace_of_multiset(block) == expected
+        assert block.trace == expected
 
 
 def test_block_trace_matches_numeric_root_sums():

@@ -17,7 +17,13 @@ from helpers import (
     reversed_to,
 )
 
-from k3auto.ellsurf import WeierstrassModel, analyze_fibers, discriminant, flip_model
+from k3auto.ellsurf import (
+    WeierstrassModel,
+    _classify,
+    analyze_fibers,
+    discriminant,
+    flip_model,
+)
 from k3auto.isometry import CyclotomicMultiset
 from k3auto.lattice import (
     Lattice,
@@ -25,7 +31,18 @@ from k3auto.lattice import (
     discriminant_group,
 )
 from k3auto.parsing import parse_poly
-from k3auto.polyfield import Poly, poly_gcd, squarefree_decompose
+from k3auto.polyfield import Place, Poly, poly_gcd, squarefree_decompose, valuation
+
+
+def with_zero_coefficient_variants(m):
+    """m, then the models with a = 0 and with b = 0 where those exist."""
+    zero = Poly.zero(m.context)
+    variants = [m]
+    if not m.b.is_zero:
+        variants.append(WeierstrassModel(zero, m.b))
+    if not m.a.is_zero:
+        variants.append(WeierstrassModel(m.a, zero))
+    return variants
 
 
 def test_parse_str_round_trip():
@@ -96,23 +113,33 @@ def test_flip_reverses_discriminant():
     rng = random.Random(106)
     for _ in range(120):
         context = rng.choice(CONTEXTS)
-        m = random_model(rng, context, max_degree=7)
-        flipped = flip_model(m)
-        assert discriminant(flipped) == reversed_to(discriminant(m), 12 * m.k)
+        for m in with_zero_coefficient_variants(random_model(rng, context, max_degree=7)):
+            flipped = flip_model(m)
+            assert discriminant(flipped) == reversed_to(discriminant(m), 12 * m.k)
+            # the fiber at infinity, read from degrees, is the flip's at t = 0
+            origin = Place.finite(Poly.variable(context))
+            at_origin = [valuation(p, origin)
+                         for p in (flipped.a, flipped.b, discriminant(flipped))]
+            assert analyze_fibers(m).fibers[-1] == _classify(Place.infinity(), *at_origin)
 
 
 def test_euler_bookkeeping_on_random_models():
     rng = random.Random(107)
     for _ in range(150):
         context = rng.choice(CONTEXTS)
-        m = random_model(rng, context, max_degree=6)
-        analysis = analyze_fibers(m)
-        withdrawn = sum(
-            f.degree * f.minimalization_steps for f in analysis.fibers
-        )
-        assert analysis.euler_total + 12 * withdrawn == 12 * analysis.k
-        if analysis.relatively_minimal:
-            assert analysis.euler_total == analysis.expected_euler
+        for m in with_zero_coefficient_variants(random_model(rng, context, max_degree=6)):
+            analysis = analyze_fibers(m)
+            withdrawn = sum(
+                f.degree * f.minimalization_steps for f in analysis.fibers
+            )
+            assert analysis.euler_total + 12 * withdrawn == 12 * analysis.k
+            if analysis.relatively_minimal:
+                assert analysis.euler_total == analysis.expected_euler
+            # finite valuations from the exponent matrix match valuation()
+            for f in analysis.fibers[:-1]:
+                assert (f.v_a, f.v_b, f.v_delta) == tuple(
+                    valuation(p, f.place) for p in (m.a, m.b, discriminant(m))
+                )
 
 
 def test_rescaling_leaves_analysis_unchanged():
