@@ -12,7 +12,9 @@ Commands:
 Reports are JSON by default (deterministic: sorted keys); ``--text`` or
 ``K3_REPORT_FORMAT=text`` switches to a human-readable rendition.  Exit
 codes: 0 success, 1 verification failure, 2 usage/parse error, 3 invalid
-model.
+model, 4 internal error (any other exception, reported as one line on
+stderr without a traceback).  The package needs nothing beyond the Python
+standard library.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INVALID_MODEL = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(report: dict, text: str, fmt: str) -> None:
@@ -334,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except K3AutoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug; exit 1 stays a failed verification
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

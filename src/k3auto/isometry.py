@@ -5,7 +5,9 @@ Eigenvalue sets are stored only as whole Galois orbits: full blocks Phi(d)
 (all primitive d-th roots of unity at once) plus explicitly signed +-1
 units.  Arbitrary single primitive roots are inexpressible, which keeps
 every trace a rational integer.  A full Phi(d) block has rank phi(d)
-(Euler's totient) and trace mu(d) (the Moebius function).
+(Euler's totient) and trace mu(d) (the Moebius function); both, and the
+divisors of an order, come from trial division, since the orders here are
+at most a few hundred.
 """
 
 from __future__ import annotations
@@ -14,17 +16,41 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from sympy import divisors, mobius, totient
-
 from .errors import PatternError
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p dividing n >= 1, with p^e the exact power."""
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _phi(d: int) -> int:
-    return int(totient(d))
+    """Euler's totient."""
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _prime_powers(d))
 
 
 def _mu(d: int) -> int:
-    return int(mobius(d))
+    """The Moebius function."""
+    powers = _prime_powers(d)
+    return 0 if any(e > 1 for _, e in powers) else (-1) ** len(powers)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Builders cover the hyperbolic plane U, its scalings U(m), and the
 negative-definite A/D/E root lattices (diagonal -2, adjacency +1), combined
-with `+` (orthogonal sum) and a `(m)` twist suffix.  Invariants are exact:
-signatures come from rational congruence diagonalization (which also yields
-the determinant, since every transform used preserves it), discriminant
-groups from the Smith normal form over Z.
+with `+` (orthogonal sum) and a `(m)` twist suffix.  Invariants are exact
+and computed on integers only: determinant and signature from one
+fraction-free (Bareiss) symmetric elimination, discriminant groups from the
+Smith form modulo |det|.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import sympy
-from sympy.matrices.normalforms import invariant_factors as _sympy_invariant_factors
 
 from .errors import LatticeError, LatticeExprError
 
@@ -243,25 +240,36 @@ def build_lattice(expr: str) -> Lattice:
 
 
 def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
-    """Exact determinant and signature in one congruence diagonalization.
+    """Exact determinant and signature in one fraction-free symmetric
+    elimination (Bareiss).
 
-    Every transform used (simultaneous row/column swap, symmetric
-    elimination, adding one row-and-column into another) preserves the
-    determinant, so the product of the resulting diagonal is det(Gram).
-    Zero diagonal entries of a degenerate matrix are counted separately.
+    Once the first i rows are eliminated, entry (r, c) of the trailing
+    block is the minor of the transformed matrix on rows 0..i-1, r and
+    columns 0..i-1, c, so every division is exact and the next pivot is
+    the leading minor M_{i+1}.  The pivoting transforms (simultaneous
+    row/column swap, adding one row-and-column into another) are
+    congruences by matrices of determinant +-1, so the last pivot is
+    det(Gram), and the diagonal of the congruent diagonal form is
+    M_i / M_{i-1}, of sign sign(M_i) * sign(M_{i-1}).  Zero diagonal
+    entries of a degenerate matrix are counted separately.
     """
     n = lattice.rank
-    g = [[Fraction(x) for x in row] for row in lattice.gram]
+    g = [list(row) for row in lattice.gram]
 
     def swap(i: int, j: int):
         g[i], g[j] = g[j], g[i]
         for row in g:
             row[i], row[j] = row[j], row[i]
 
-    positives = negatives = zeros = 0
-    det = Fraction(1)
+    positives = negatives = 0
+    prev = 1  # leading minor of the block eliminated so far
     for i in range(n):
         if not g[i][i]:
+            # only the upper triangle of the trailing block is kept up to
+            # date; the swap and the addition below read the lower one
+            for r in range(i, n):
+                for c in range(r + 1, n):
+                    g[c][r] = g[r][c]
             pivot_row = next((j for j in range(i + 1, n) if g[j][j]), None)
             if pivot_row is not None:
                 swap(i, pivot_row)
@@ -271,48 +279,106 @@ def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
                     None,
                 )
                 if off is None:
-                    zeros += n - i
-                    det = Fraction(0)
-                    break
+                    return 0, SignaturePair(positives, negatives, n - i)
                 r, c = off
                 if r != i:
                     swap(i, r)
                 # both diagonal entries vanish, so this makes g[i][i] = 2*g[i][c]
-                for k in range(n):
-                    g[i][k] += g[c][k]
-                for k in range(n):
+                row_i, row_c = g[i], g[c]
+                for k in range(i, n):
+                    row_i[k] += row_c[k]
+                for k in range(i, n):
                     g[k][i] += g[k][c]
         p = g[i][i]
-        det *= p
-        if p > 0:
+        if (p > 0) == (prev > 0):
             positives += 1
         else:
             negatives += 1
+        row_i = g[i]
         for r in range(i + 1, n):
-            if not g[r][i]:
-                continue
-            f = g[r][i] / p
-            for k in range(n):
-                g[r][k] -= f * g[i][k]
-            for k in range(n):
-                g[k][r] -= f * g[k][i]
-
-    if det.denominator != 1:
-        raise LatticeError("internal error: non-integral determinant")
-    return int(det), SignaturePair(positives, negatives, zeros)
+            row_r = g[r]
+            a = row_i[r]
+            row_r[r:] = [(p * x - a * y) // prev
+                         for x, y in zip(row_r[r:], row_i[r:])]
+        prev = p
+    return prev, SignaturePair(positives, negatives, 0)
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
-    """Invariant factors of the Gram matrix over Z, omitting 1's."""
-    factors = _sympy_invariant_factors(sympy.Matrix(lattice.gram))
-    out = []
-    for f in factors:
-        f = abs(int(f))
-        if f == 0:
-            raise LatticeError("degenerate lattice has no discriminant group")
-        if f != 1:
-            out.append(f)
-    return DiscGroup(tuple(out))
+    """Invariant factors of the Gram matrix over Z, omitting 1's.
+
+    dual(L)/L is Z^n modulo the columns of the Gram matrix G, which contain
+    D*Z^n for D = |det G| (G times its adjugate is det * I).  Adding the
+    columns of D*I to the generators changes nothing, so the elimination
+    keeps every entry reduced mod D (Smith form modulo D).  Row and column
+    operations bring G to a diagonal; each diagonal entry a gives a cyclic
+    factor Z/gcd(a, D), and a gcd/lcm sweep puts the factors in
+    divisibility order.
+    """
+    det, _ = determinant_and_signature(lattice)
+    big_d = abs(det)
+    if big_d == 0:
+        raise LatticeError("degenerate lattice has no discriminant group")
+    n = lattice.rank
+    a = [[x % big_d for x in row] for row in lattice.gram]
+    diagonal = []
+    for k in range(n):
+        while True:
+            # clear column k below the pivot with unimodular row operations
+            row_k = a[k]
+            for r in range(k + 1, n):
+                row_r = a[r]
+                b = row_r[k]
+                if not b:
+                    continue
+                p = row_k[k]
+                if p and b % p == 0:
+                    # (1, 0): the plain extended gcd of (p, p) is (0, 1),
+                    # which would swap the rows and cycle forever
+                    q = b // p
+                    row_r[k:] = [(y - q * x) % big_d
+                                 for x, y in zip(row_k[k:], row_r[k:])]
+                    continue
+                u, v, s, t = _gcd_step(p, b)
+                row_k[k:], row_r[k:] = (
+                    [(u * x + v * y) % big_d for x, y in zip(row_k[k:], row_r[k:])],
+                    [(s * y - t * x) % big_d for x, y in zip(row_k[k:], row_r[k:])],
+                )
+            # column k is now p*e_k, and D*e_k is a generator: the pivot
+            # may be replaced by gcd(p, D)
+            p = row_k[k] = math.gcd(row_k[k], big_d)
+            # clear row k; a column operation that does not just subtract a
+            # multiple of column k lowers the pivot to a proper divisor and
+            # refills column k, so the loop ends
+            dirty = None
+            for c in range(k + 1, n):
+                if row_k[c] % p == 0:
+                    row_k[c] = 0
+                elif dirty is None:
+                    dirty = c
+            if dirty is None:
+                break
+            u, v, s, t = _gcd_step(p, row_k[dirty])
+            for r in range(k, n):
+                row = a[r]
+                x, y = row[k], row[dirty]
+                row[k], row[dirty] = (u * x + v * y) % big_d, (s * y - t * x) % big_d
+        diagonal.append(a[k][k])
+    # gcd/lcm sweep: afterwards every factor divides the ones after it
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = diagonal[i], diagonal[j]
+            h = math.gcd(x, y)
+            diagonal[i], diagonal[j] = h, x // h * y
+    return DiscGroup(tuple(f for f in diagonal if f != 1))
+
+
+def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
+    """(u, v, s, t) such that the unimodular step x' = u*x + v*y,
+    y' = s*y - t*x sends (p, b) to (gcd(p, b), 0)."""
+    u, v = _ext_gcd(p, b)
+    h = u * p + v * b
+    return u, v, p // h, b // h
 
 
 def is_p_elementary(lattice: Lattice, p: int) -> bool:

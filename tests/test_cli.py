@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line driver via ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from k3auto import cli
 from k3auto.cli import main
 from k3auto.verify import SCENARIOS, ScenarioResult
 
@@ -315,3 +320,26 @@ def test_json_output_is_deterministic(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, ["surface"])
     assert code == 2
+
+
+# ------------------------------------------------------------- robustness
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_lattice", broken)
+    code, out, err = run(capsys, ["lattice", "U"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_import_loads_no_sympy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, k3auto.cli; "
+             "sys.exit(any(m.split('.')[0] == 'sympy' for m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0

@@ -11,9 +11,10 @@ import math
 import random
 
 import pytest
-from sympy import cyclotomic_poly, divisors, totient
+from sympy import cyclotomic_poly, divisors, mobius, totient
 from sympy.abc import x
 
+from k3auto import isometry
 from k3auto.errors import ParseError, PatternError
 from k3auto.isometry import (
     CyclotomicMultiset,
@@ -50,6 +51,13 @@ def test_block_trace_matches_cyclotomic_polynomial():
         assert block.rank == degree == int(totient(d))
         expected = -int(poly.nth(degree - 1)) if degree >= 1 else 1
         assert block.trace == expected
+
+
+def test_number_theory_matches_sympy():
+    for n in range(1, 2001):
+        assert isometry.divisors(n) == divisors(n), n
+        assert isometry._phi(n) == totient(n), n
+        assert isometry._mu(n) == mobius(n), n
 
 
 def test_block_trace_matches_numeric_root_sums():

@@ -1,11 +1,16 @@
-"""Lattice invariants, checked against sympy (determinant, Smith form) and
-numpy eigenvalues (signature) as independent oracles."""
+"""Lattice invariants, checked against sympy as an independent oracle:
+determinant, Smith form, and the signature from the sign pattern of the
+characteristic polynomial."""
 
+import math
+import random
 from fractions import Fraction
 
-import numpy
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
+
+from helpers import congruent_gram, random_gram, random_unimodular
 
 from k3auto.errors import LatticeError, LatticeExprError
 from k3auto.lattice import (
@@ -46,10 +51,59 @@ def oracle_det(lat: Lattice) -> int:
     return int(sympy.Matrix(lat.gram).det())
 
 
-def oracle_signature(lat: Lattice) -> tuple[int, int]:
-    eigs = numpy.linalg.eigvalsh(numpy.array(lat.gram, dtype=float))
-    assert all(abs(e) > 1e-8 for e in eigs), "oracle needs a nondegenerate matrix"
-    return (int((eigs > 0).sum()), int((eigs < 0).sum()))
+def oracle_signature(lat: Lattice) -> tuple[int, int, int]:
+    """(positives, negatives, zeros) of the eigenvalues.  A symmetric
+    matrix's characteristic polynomial p has only real roots, so Descartes'
+    rule of signs is exact: the sign changes of p(x) and p(-x) count the
+    positive and negative roots, and the trailing zero coefficients the
+    root 0."""
+    x = sympy.Symbol("x")
+    coeffs = [int(c) for c in sympy.Matrix(lat.gram).charpoly(x).all_coeffs()]
+    n = len(coeffs) - 1  # coeffs[k] belongs to x^(n - k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zeros = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    flipped = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(flipped), zeros
+
+
+def oracle_invariant_factors(gram) -> tuple[int, ...]:
+    factors = (abs(int(f)) for f in invariant_factors(sympy.Matrix(gram)))
+    return tuple(f for f in factors if f != 1)
+
+
+def det_mod_prime(gram, prime: int) -> int:
+    """Gaussian elimination over Z/prime."""
+    a = [[x % prime for x in row] for row in gram]
+    n, det = len(a), 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = det * a[c][c] % prime
+        inv = pow(a[c][c], -1, prime)
+        for r in range(c + 1, n):
+            f = a[r][c] * inv % prime
+            a[r] = [(x - f * y) % prime for x, y in zip(a[r], a[c])]
+    return det % prime
+
+
+DEGENERATE = {
+    "zero2": Lattice(((0, 0), (0, 0))),
+    "1+0": Lattice(((1, 0), (0, 0))),
+    "ones3": Lattice(((1, 1, 1), (1, 1, 1), (1, 1, 1))),
+    "U+0": Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 0))),
+    "A2+0+U": root_lattice_A(2) + Lattice(((0,),)) + hyperbolic_plane(),
+    "image of A2+0+U": Lattice(congruent_gram(
+        random_unimodular(random.Random(5), 5, steps=12),
+        (root_lattice_A(2) + Lattice(((0,),)) + hyperbolic_plane()).gram)),
+}
 
 
 def test_builders_are_even_symmetric():
@@ -77,8 +131,12 @@ def test_signature_matches_eigenvalue_oracle():
     for name, lat in BATTERY.items():
         _, sig = determinant_and_signature(lat)
         assert sig.zeros == 0, name
-        assert sig.pair == oracle_signature(lat), name
+        assert (*sig.pair, 0) == oracle_signature(lat), name
         assert sig.positives + sig.negatives == lat.rank
+    for name, lat in DEGENERATE.items():
+        det, sig = determinant_and_signature(lat)
+        assert det == 0, name
+        assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(lat), name
 
 
 def test_key_invariant_pairs():
@@ -116,6 +174,56 @@ def test_disc_group_order_is_det_and_factors_chain():
         factors = group.invariant_factors
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+def test_discriminant_group_matches_sympy_on_random_grams():
+    rng = random.Random(301)
+    for rank in range(1, 9):
+        for _ in range(20):
+            lat, _ = random_gram(rng, rank, span=rng.choice((2, 5, 12)))
+            twist = lat.twist(rng.choice((-1, 2, 3, 11)))
+            image = Lattice(congruent_gram(random_unimodular(rng, rank), lat.gram))
+            for other in (lat, twist, image):
+                assert (discriminant_group(other).invariant_factors
+                        == oracle_invariant_factors(other.gram)), other.gram
+
+
+def test_degenerate_random_grams_have_no_discriminant_group():
+    rng = random.Random(302)
+    for rank in range(2, 9):
+        for _ in range(10):
+            # a nondegenerate block plus a null direction, hidden by a
+            # unimodular change of basis
+            block, _ = random_gram(rng, rank - 1)
+            lat = Lattice(congruent_gram(random_unimodular(rng, rank, steps=12),
+                                         (block + Lattice(((0,),))).gram))
+            det, sig = determinant_and_signature(lat)
+            assert det == 0 == sympy.Matrix(lat.gram).det()
+            assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(lat)
+            with pytest.raises(LatticeError):
+                discriminant_group(lat)
+
+
+def test_dense_rank48_gram():
+    # dense random Gram matrices of rank >= 44 used to stall the
+    # rational elimination and sympy's Smith form
+    rng = random.Random(48)
+    n = 48
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+    lat = Lattice(tuple(tuple(row) for row in rows))
+    det, sig = determinant_and_signature(lat)
+    prime = 2**127 - 1
+    assert det != 0
+    assert det % prime == det_mod_prime(lat.gram, prime)
+    assert sig.positives + sig.negatives == n and sig.zeros == 0
+    group = discriminant_group(lat)
+    assert math.prod(group.invariant_factors) == abs(det)
+    image = Lattice(congruent_gram(random_unimodular(rng, n, steps=24), lat.gram))
+    assert discriminant_group(image) == group
+    assert determinant_and_signature(image) == (det, sig)
 
 
 def test_p_elementary():
