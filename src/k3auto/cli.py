@@ -27,13 +27,7 @@ from typing import Callable
 
 from .ellsurf import WeierstrassModel, analyze_fibers
 from .enumerations import fiber_orbit_configs, order22_replay
-from .errors import (
-    InvalidModelError,
-    K3AutoError,
-    LatticeExprError,
-    ParseError,
-    PatternError,
-)
+from .errors import InvalidModelError, K3AutoError
 from .isometry import lefschetz_number
 from .lattice import (
     build_lattice,
@@ -328,13 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidModelError as exc:
         print(f"error: invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LatticeExprError, PatternError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except K3AutoError as exc:
+    except (K3AutoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug; exit 1 stays a failed verification

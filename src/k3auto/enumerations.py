@@ -157,9 +157,9 @@ class OrbitConfig:
         )
 
 
-def _orbit_multisets(pool: Sequence[str], budget: int) -> list[tuple[str, ...]]:
-    """All multisets over pool whose Euler numbers sum to exactly budget."""
-    pool = sorted(set(pool), key=_type_key)
+def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple[str, ...]]:
+    """All multisets over pool, sorted distinct (Euler number, symbol) keys,
+    whose Euler numbers sum to exactly budget."""
     out: list[tuple[str, ...]] = []
 
     def rec(i: int, left: int, acc: list[str]):
@@ -168,13 +168,13 @@ def _orbit_multisets(pool: Sequence[str], budget: int) -> list[tuple[str, ...]]:
             return
         if i == len(pool):
             return
-        e = fiber_euler_number(pool[i])
+        e, symbol = pool[i]
         rec(i + 1, left, acc)
         if e <= left:
-            rec(i, left - e, acc + [pool[i]])
+            rec(i, left - e, acc + [symbol])
 
     rec(0, budget, [])
-    return sorted(out)
+    return out
 
 
 def fiber_orbit_configs(total_euler: int,
@@ -190,35 +190,31 @@ def fiber_orbit_configs(total_euler: int,
     at the fixed places.  Configurations whose two fixed fibers could be
     swapped (both orders admissible) are reported once, in canonical order.
     """
-    zero_set = sorted(set(allowed_at_zero), key=_type_key)
-    inf_set = sorted(set(allowed_at_inf), key=_type_key)
-    pool = [s for s in orbit_allowed if s != "I0"]
-    for symbol in (*zero_set, *inf_set, *pool):
-        if not is_kodaira_type(symbol):
-            raise ValueError(f"unknown Kodaira type {symbol!r}")
+    zero_set, inf_set = set(allowed_at_zero), set(allowed_at_inf)
+    orbit_set = set(orbit_allowed) - {"I0"}
+    # ValueError on an unknown type
+    keys = {s: _type_key(s) for s in (*zero_set, *inf_set, *orbit_set)}
+    pool = sorted(keys[s] for s in orbit_set)
 
-    seen: set[tuple] = set()
-    configs: list[OrbitConfig] = []
+    def order(symbols):
+        return tuple(keys[s] for s in symbols)
+
+    multisets: dict[int, list[tuple[str, ...]]] = {}
+    found: set[tuple[tuple[str, str], tuple[str, ...]]] = set()
     for f0 in zero_set:
         for finf in inf_set:
-            remaining = total_euler - fiber_euler_number(f0) - fiber_euler_number(finf)
+            remaining = total_euler - keys[f0][0] - keys[finf][0]
             if remaining < 0 or remaining % orbit_size:
                 continue
-            swapped_ok = finf in zero_set and f0 in inf_set
             fixed = (f0, finf)
-            if swapped_ok:
-                fixed = min(fixed, (finf, f0), key=lambda p: tuple(map(_type_key, p)))
-            for orbit in _orbit_multisets(pool, remaining // orbit_size):
-                key = (fixed, orbit)
-                if key in seen:
-                    continue
-                seen.add(key)
-                configs.append(OrbitConfig(fixed, orbit, orbit_size))
-    configs.sort(
-        key=lambda c: (tuple(map(_type_key, c.fixed_fibers)),
-                       tuple(map(_type_key, c.orbit_fibers)))
-    )
-    return configs
+            if finf in zero_set and f0 in inf_set:
+                fixed = min(fixed, (finf, f0), key=order)
+            budget = remaining // orbit_size
+            if budget not in multisets:
+                multisets[budget] = _orbit_multisets(pool, budget)
+            found.update((fixed, orbit) for orbit in multisets[budget])
+    return [OrbitConfig(fixed, orbit, orbit_size)
+            for fixed, orbit in sorted(found, key=lambda c: (order(c[0]), order(c[1])))]
 
 
 # ---------------------------------------------------------------------------

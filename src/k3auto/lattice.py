@@ -1,11 +1,19 @@
 """Integer lattices given by Gram matrices.
 
 Builders cover the hyperbolic plane U, its scalings U(m), and the
-negative-definite A/D/E root lattices (diagonal -2, adjacency +1), combined
-with `+` (orthogonal sum) and a `(m)` twist suffix.  Invariants are exact
-and computed on integers only: determinant and signature from one
-fraction-free (Bareiss) symmetric elimination, discriminant groups from the
-Smith form modulo |det|.
+negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
+`build_lattice` reads them from text (whitespace-insensitive, tokens from
+`parsing.Lexer`):
+
+    expr := term ('+' term)*            orthogonal sum
+    term := atom ('(' INT ')')*         twist: every entry times INT
+    atom := 'U' ['(' INT ')'] | ('A' | 'D' | 'E') index | '(' expr ')'
+    index := INT | '(' INT ')'          written A10, A 10 or A(10)
+
+INT may carry a leading '-' with no space after it.  An expression may
+have rank at most `MAX_LATTICE_RANK`.  Invariants are exact and computed on
+integers only: determinant and signature from one fraction-free (Bareiss)
+symmetric elimination, discriminant groups from the Smith form modulo |det|.
 """
 
 from __future__ import annotations
@@ -13,10 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import LatticeError, LatticeExprError
+from .errors import LatticeError, LatticeExprError, ParseError
+from .parsing import Lexer
+
+# Rank cap of a lattice expression, checked before any Gram matrix is built.
+MAX_LATTICE_RANK = 256
 
 GramRow = tuple[int, ...]
 Gram = tuple[GramRow, ...]
@@ -55,13 +66,15 @@ class Lattice:
             raise LatticeError("twist by zero")
         return Lattice(tuple(tuple(m * x for x in row) for row in self.gram))
 
-    def direct_sum(self, other: "Lattice") -> "Lattice":
-        n, m = self.rank, other.rank
+    def direct_sum(self, *others: "Lattice") -> "Lattice":
+        """Orthogonal sum of this lattice and the others, in that order."""
+        summands = (self, *others)
+        n = sum(lat.rank for lat in summands)
         rows = []
-        for i in range(n):
-            rows.append(self.gram[i] + (0,) * m)
-        for j in range(m):
-            rows.append((0,) * n + other.gram[j])
+        for lat in summands:
+            left = (0,) * len(rows)
+            right = (0,) * (n - len(rows) - lat.rank)
+            rows += [left + row + right for row in lat.gram]
         return Lattice(tuple(rows))
 
     def __add__(self, other: "Lattice") -> "Lattice":
@@ -145,97 +158,90 @@ def root_lattice_E(n: int) -> Lattice:
     return _adjacency_gram(n, edges)
 
 
+_ROOT_LATTICES = {"A": root_lattice_A, "D": root_lattice_D, "E": root_lattice_E}
+
+
 class _LatticeExprParser:
-    """expr := term ('+' term)*; term := atom ('(' INT ')')*;
-    atom := NAME [index] | '(' expr ')'."""
+    """The grammar of the module docstring.  Each method returns the list of
+    summands it read; `parse` builds their orthogonal sum once."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise LatticeExprError(f"expected an integer at position {start}")
-        return int(self.text[start:self.pos])
-
-    def _paren_int(self) -> int:
-        self.pos += 1  # consume '('
-        value = self._int()
-        if self._peek() != ")":
-            raise LatticeExprError(f"expected ')' at position {self.pos}")
-        self.pos += 1
-        return value
+        self.lx = Lexer(text)
+        self.rank = 0
 
     def parse(self) -> Lattice:
-        lat = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise LatticeExprError(f"trailing input at position {self.pos}")
-        return lat
+        first, *rest = self._expr()
+        kind, _, pos = self.lx.peek()
+        if kind != "END":
+            raise LatticeExprError(f"trailing input at position {pos}")
+        return first.direct_sum(*rest)
 
-    def _expr(self) -> Lattice:
-        lat = self._term()
-        while self._peek() == "+":
-            self.pos += 1
-            lat = lat + self._term()
-        return lat
+    def _expr(self) -> list[Lattice]:
+        summands = self._term()
+        while self.lx.peek()[0] == "+":
+            self.lx.next()
+            summands += self._term()
+        return summands
 
-    def _term(self) -> Lattice:
-        lat = self._atom()
-        while self._peek() == "(":
-            lat = lat.twist(self._paren_int())
-        return lat
+    def _term(self) -> list[Lattice]:
+        summands = self._atom()
+        while self.lx.peek()[0] == "(":
+            m = self._paren_number()
+            summands = [lat.twist(m) for lat in summands]
+        return summands
 
-    def _atom(self) -> Lattice:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            lat = self._expr()
-            if self._peek() != ")":
-                raise LatticeExprError(f"expected ')' at position {self.pos}")
-            self.pos += 1
-            return lat
-        if ch not in "UADE":
-            raise LatticeExprError(f"expected a lattice name at position {self.pos}")
-        self.pos += 1
-        if ch == "U":
-            if self._peek() == "(":
-                return hyperbolic_plane(self._paren_int())
-            return hyperbolic_plane()
-        # A/D/E take an index, written A10 or A(10)
-        if self._peek() == "(":
-            index = self._paren_int()
+    def _atom(self) -> list[Lattice]:
+        kind, name, pos = self.lx.next()
+        if kind == "(":
+            summands = self._expr()
+            self.lx.expect(")")
+            return summands
+        if kind == "NAME" and name == "U":
+            m = self._paren_number() if self.lx.peek()[0] == "(" else 1
+            self._reserve(2)
+            return [hyperbolic_plane(m)]
+        root = _ROOT_LATTICES.get(name[:1]) if kind == "NAME" else None
+        suffix = name[1:]
+        if root is None or suffix and not suffix.isdigit():
+            raise LatticeExprError(f"expected a lattice name at position {pos}")
+        if suffix:
+            index = int(suffix)
+        elif self.lx.peek()[0] == "(":
+            index = self._paren_number()
         else:
-            index = self._int()
-        try:
-            if ch == "A":
-                return root_lattice_A(index)
-            if ch == "D":
-                return root_lattice_D(index)
-            return root_lattice_E(index)
-        except LatticeError as exc:
-            raise LatticeExprError(str(exc)) from exc
+            index = self._number()
+        self._reserve(index)
+        return [root(index)]
+
+    def _reserve(self, rank: int) -> None:
+        # one check covers the atom and the running rank: a negative index,
+        # which lowers the count, is rejected by its builder right after
+        self.rank += rank
+        if self.rank > MAX_LATTICE_RANK:
+            raise LatticeExprError(f"lattice rank exceeds {MAX_LATTICE_RANK}")
+
+    def _paren_number(self) -> int:
+        self.lx.expect("(")
+        value = self._number()
+        self.lx.expect(")")
+        return value
+
+    def _number(self) -> int:
+        kind, value, pos = self.lx.next()
+        sign = 1
+        if kind == "-" and self.lx.peek()[2] == pos + 1:  # '-' touches its digits
+            sign = -1
+            kind, value, _ = self.lx.next()
+        if kind != "INT":
+            raise LatticeExprError(f"expected an integer at position {pos}")
+        return sign * int(value)
 
 
 def build_lattice(expr: str) -> Lattice:
     """Build a lattice from an expression like "U + A10" or "U(11)"."""
     try:
         return _LatticeExprParser(expr).parse()
-    except LatticeError as exc:
+    except (LatticeError, ParseError) as exc:
         raise LatticeExprError(str(exc)) from exc
 
 
@@ -386,25 +392,6 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
     if p < 2:
         raise LatticeError("p must be at least 2")
     return all(f == p for f in discriminant_group(lattice).invariant_factors)
-
-
-def dual_gram(lattice: Lattice) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the dual basis: the exact inverse of the Gram matrix."""
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(lattice.gram)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise LatticeError("degenerate lattice has no dual Gram matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def even_unimodular_exists(positives: int, negatives: int) -> bool:

@@ -17,7 +17,9 @@ Eigenvalue-pattern grammar:
     multiset := '[' (item (',' item)*)? ']'
     item     := ('1' | '-1' | 'Phi' '(' INT ')') ('*' INT)?
 
-Errors carry the character position that broke the parse.
+Both grammars, and the lattice expressions of `lattice`, share one lexer.
+It rejects input nested deeper than `MAX_NESTING` parentheses.  Errors carry
+the character position that broke the parse.
 """
 
 from __future__ import annotations
@@ -31,18 +33,23 @@ from .polyfield import FieldContext, FieldElement, Poly
 
 _BindingValue = Union[FieldElement, int, Fraction]
 
+# Every open parenthesis is one level of parser recursion; the cap keeps the
+# deepest parse well inside Python's recursion limit.
+MAX_NESTING = 100
 
-class _Lexer:
+
+class Lexer:
+    """Tokens (kind, text, position) of one input, ending in an END token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
 
     def _scan(self):
         text = self.text
-        i = 0
+        i = depth = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():
@@ -63,6 +70,12 @@ class _Lexer:
                 i = j
                 continue
             if ch in "+-*^/()[],;:":
+                if ch == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError(f"more than {MAX_NESTING} nested parentheses", i)
+                elif ch == ")":
+                    depth -= 1
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
@@ -87,7 +100,7 @@ class _Lexer:
 class _PolyParser:
     def __init__(self, text: str, context: FieldContext,
                  bindings: Mapping[str, _BindingValue] | None):
-        self.lx = _Lexer(text)
+        self.lx = Lexer(text)
         self.context = context
         self.bindings = dict(bindings or {})
 
@@ -114,10 +127,12 @@ class _PolyParser:
         return p
 
     def _unary(self) -> Poly:
-        if self.lx.peek()[0] == "-":
+        negate = False
+        while self.lx.peek()[0] == "-":
             self.lx.next()
-            return -self._unary()
-        return self._power()
+            negate = not negate
+        p = self._power()
+        return -p if negate else p
 
     def _power(self) -> Poly:
         p = self._atom()
@@ -170,7 +185,7 @@ def parse_poly(text: str, context: FieldContext,
     return _PolyParser(text, context, bindings).parse()
 
 
-def _parse_multiset_items(lx: _Lexer) -> CyclotomicMultiset:
+def _parse_multiset_items(lx: Lexer) -> CyclotomicMultiset:
     lx.expect("[")
     counts: dict[int, int] = {}
     if lx.peek()[0] != "]":
@@ -183,7 +198,7 @@ def _parse_multiset_items(lx: _Lexer) -> CyclotomicMultiset:
     return CyclotomicMultiset.from_counts(counts)
 
 
-def _parse_pattern_item(lx: _Lexer, counts: dict[int, int]) -> None:
+def _parse_pattern_item(lx: Lexer, counts: dict[int, int]) -> None:
     kind, value, pos = lx.next()
     if kind == "-":
         tok = lx.expect("INT")
@@ -215,7 +230,7 @@ def _parse_pattern_item(lx: _Lexer, counts: dict[int, int]) -> None:
 
 def parse_multiset(text: str) -> CyclotomicMultiset:
     """Parse a bracketed eigenvalue multiset like ``[1*4, -1*8, Phi(11)]``."""
-    lx = _Lexer(text)
+    lx = Lexer(text)
     m = _parse_multiset_items(lx)
     tok = lx.peek()
     if tok[0] != "END":
@@ -225,7 +240,7 @@ def parse_multiset(text: str) -> CyclotomicMultiset:
 
 def parse_pattern(text: str) -> IsometryPattern:
     """Parse a full pattern literal ``S: [...]; T: [...]``."""
-    lx = _Lexer(text)
+    lx = Lexer(text)
     tok = lx.expect("NAME")
     if tok[1] != "S":
         raise ParseError("pattern must start with 'S'", tok[2])

@@ -103,6 +103,12 @@ def test_leading_minus_polynomials_are_accepted(capsys):
     )
     assert code == 0
     assert json.loads(out)["euler_total"] > 0
+    # an odd run of unary minus signs, however long, reads as one sign
+    code, many, _ = run(
+        capsys, ["surface", "analyze", "--a", "-" * 5001 + "3*t^2", "--b", "t^7 + 2*t^3"]
+    )
+    assert code == 0
+    assert many == out
 
 
 def test_identically_singular_model_is_invalid(capsys):
@@ -334,6 +340,22 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # over MAX_LATTICE_RANK, checked before a Gram matrix is built
+    pytest.param(["lattice", "A257"], id="rank-257"),
+    pytest.param(["lattice", "A200 + D100"], id="sum-rank-300"),
+    # over MAX_NESTING, which keeps every parse inside Python's recursion limit
+    pytest.param(["lattice", "(" * 3000 + "U" + ")" * 3000], id="lattice-nesting"),
+    pytest.param(["surface", "analyze", "--a", "(" * 3000 + "t" + ")" * 3000, "--b", "1"],
+                 id="poly-nesting"),
+])
+def test_oversized_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_import_loads_no_sympy():

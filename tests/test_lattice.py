@@ -4,7 +4,6 @@ characteristic polynomial."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -22,7 +21,6 @@ from k3auto.lattice import (
     determinant_and_signature,
     discriminant_group,
     divisor_class_solve,
-    dual_gram,
     even_unimodular_exists,
     hyperbolic_plane,
     is_p_elementary,
@@ -234,27 +232,6 @@ def test_p_elementary():
     assert not is_p_elementary(root_lattice_E(8).twist(2), 11)
 
 
-def test_dual_gram_is_exact_inverse():
-    for lat in BATTERY.values():
-        dual = dual_gram(lat)
-        n = lat.rank
-        for i in range(n):
-            for j in range(n):
-                entry = sum(Fraction(lat.gram[i][k]) * dual[k][j] for k in range(n))
-                assert entry == (1 if i == j else 0)
-
-
-def test_dual_gram_rank2_cofactor_form():
-    # inverse of [[2a, b], [b, 2c]] is [[2c, -b], [-b, 2a]] / det
-    lat = Lattice(((-4, 3), (3, 2)))
-    det, _ = determinant_and_signature(lat)
-    dual = dual_gram(lat)
-    assert dual == (
-        (Fraction(2, det), Fraction(-3, det)),
-        (Fraction(-3, det), Fraction(-4, det)),
-    )
-
-
 def test_even_unimodular_mod8_rule():
     assert even_unimodular_exists(1, 1)
     assert not even_unimodular_exists(1, 11)
@@ -274,9 +251,33 @@ def test_lattice_expression_grammar():
     assert build_lattice("(U + A2)(3)").gram == (build_lattice("U + A2").twist(3)).gram
     assert build_lattice("A1(2)").gram == ((-4,),)
     assert build_lattice("E(8)").rank == 8
-    for bad in ("B3", "U +", "A", "E9", "D2", "U(0)", "U + A10 junk", "A(2"):
+    assert build_lattice(" A 10 ").gram == build_lattice("A10").gram
+    assert build_lattice("U(-11)").gram == ((0, -11), (-11, 0))
+    assert build_lattice("(" * 100 + "U" + ")" * 100).gram == ((0, 1), (1, 0))
+    assert build_lattice("A128 + A128").rank == 256
+    for bad in ("B3", "U +", "A", "E9", "D2", "U(0)", "U + A10 junk", "A(2",
+                "U(- 11)", "A10 2", "U11", "A_10", "U # A10",
+                "A257", "A128 + A128 + U", "(" * 101 + "U" + ")" * 101):
         with pytest.raises(LatticeExprError):
             build_lattice(bad)
+
+
+def test_sum_is_built_once(monkeypatch):
+    ranks = []
+    validate = Lattice.__post_init__
+
+    def record(self):
+        validate(self)
+        ranks.append(self.rank)
+
+    monkeypatch.setattr(Lattice, "__post_init__", record)
+    lat = build_lattice("U + (A10 + E8) + D4")
+    # the four summands, then the sum: no intermediate sum is built
+    assert ranks == [2, 10, 8, 4, 24]
+    monkeypatch.undo()
+    parts = (hyperbolic_plane(), root_lattice_A(10), root_lattice_E(8), root_lattice_D(4))
+    assert lat == parts[0] + parts[1] + parts[2] + parts[3]
+    assert parts[0].direct_sum(*parts[1:]) == lat
 
 
 def test_gram_validation():

@@ -6,9 +6,11 @@ by a fixed seed so a failure is reproducible.
 
 import random
 
+import sympy
 from helpers import (
     CONTEXTS,
     congruent_gram,
+    random_element,
     random_gram,
     random_model,
     random_nonzero_poly,
@@ -24,6 +26,7 @@ from k3auto.ellsurf import (
     discriminant,
     flip_model,
 )
+from k3auto.errors import InvalidModelError
 from k3auto.isometry import CyclotomicMultiset
 from k3auto.lattice import (
     Lattice,
@@ -31,7 +34,7 @@ from k3auto.lattice import (
     discriminant_group,
 )
 from k3auto.parsing import parse_poly
-from k3auto.polyfield import Place, Poly, poly_gcd, squarefree_decompose, valuation
+from k3auto.polyfield import OMEGA, Place, Poly, poly_gcd, squarefree_decompose, valuation
 
 
 def with_zero_coefficient_variants(m):
@@ -140,6 +143,67 @@ def test_euler_bookkeeping_on_random_models():
                 assert (f.v_a, f.v_b, f.v_delta) == tuple(
                     valuation(p, f.place) for p in (m.a, m.b, discriminant(m))
                 )
+
+
+def _sympy_poly(p, domain):
+    """p as a sympy Poly over QQ or QQ<sqrt(d)>, built from domain elements:
+    converting an expression in sqrt(d) made the test below ~8x slower."""
+    def coeff(c):
+        x, y = (sympy.QQ(f.numerator, f.denominator) for f in (c.x, c.y))
+        return x if domain == sympy.QQ else domain([y, x])
+    coeffs = [coeff(c) for c in reversed(p.coefficients)] or [domain.zero]
+    return sympy.Poly.from_list(coeffs, sympy.Symbol("t"), domain=domain)
+
+
+def _sympy_valuation(p, factor):
+    if p.is_zero:
+        return OMEGA
+    v = 0
+    while True:
+        q, r = p.div(factor)
+        if not r.is_zero:
+            return v
+        v, p = v + 1, q
+
+
+def _shared_factor_model(rng, context):
+    """a and b built from three small random factors, so Delta has
+    repeated factors and the basis splits it into several places."""
+    while True:
+        f, g, h = (random_nonzero_poly(rng, context, max_degree=2, span=3) for _ in range(3))
+        a = f ** rng.randint(0, 3) * g ** rng.randint(0, 2)
+        b = f ** rng.randint(0, 3) * g ** rng.randint(0, 1) * h ** rng.randint(0, 2)
+        try:
+            return WeierstrassModel(a.scale(random_element(rng, context, 3) or context.one()), b)
+        except InvalidModelError:
+            continue
+
+
+def test_fiber_places_match_sympy_factorization():
+    # sympy factors Delta into irreducibles over the ground field (what
+    # factor_list(..., extension=sqrt(d)) does); each factor must divide
+    # exactly one reported place and carry that place's valuations, and a
+    # place on Delta must be the product of the factors it holds
+    rng = random.Random(110)
+    for context in CONTEXTS:
+        domain = (sympy.QQ.algebraic_field(sympy.sqrt(context.d))
+                  if context.is_quadratic else sympy.QQ)
+        for i in range(12):
+            m = (_shared_factor_model if i % 2 else random_model)(rng, context)
+            finite = analyze_fibers(m).fibers[:-1]
+            a, b, delta = (_sympy_poly(p, domain) for p in (m.a, m.b, m.delta))
+            places = [_sympy_poly(f.place.generator, domain) for f in finite]
+            held = [[] for _ in finite]
+            for factor, _ in delta.factor_list()[1]:
+                hits = [j for j, g in enumerate(places) if g.rem(factor).is_zero]
+                assert len(hits) == 1, (m, factor)
+                fiber = finite[hits[0]]
+                assert (fiber.v_a, fiber.v_b, fiber.v_delta) == tuple(
+                    _sympy_valuation(p, factor) for p in (a, b, delta)), (m, factor)
+                held[hits[0]].append(factor.monic())
+            for fiber, g, factors in zip(finite, places, held):
+                if fiber.v_delta:
+                    assert g == sympy.prod(factors), (m, fiber)
 
 
 def test_rescaling_leaves_analysis_unchanged():
