@@ -288,13 +288,13 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
         rows = iter(exponents)
         columns = [[OMEGA] * len(basis) if p.is_zero else next(rows) for p in polys]
         for generator, v_a, v_b, v_delta in zip(basis, *columns):
-            fibers.append(_classify(Place.finite(generator), v_a, v_b, v_delta))
+            fibers.append(_classify(Place(generator), v_a, v_b, v_delta))
 
     at_infinity = [
         OMEGA if p.is_zero else weight * k - p.degree
         for p, weight in zip(polys, (4, 6, 12))
     ]
-    fibers.append(_classify(Place.infinity(), *at_infinity))
+    fibers.append(_classify(Place(None), *at_infinity))
 
     fibers_tuple = tuple(fibers)
     minimal = all(f.minimalization_steps == 0 for f in fibers_tuple)

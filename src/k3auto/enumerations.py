@@ -16,10 +16,10 @@ assumptions in the reports, never re-derived here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ellsurf import fiber_euler_number, is_kodaira_type
+from .ellsurf import fiber_euler_number
 from .isometry import (
     CyclotomicMultiset,
     IsometryPattern,
@@ -128,19 +128,13 @@ class OrbitConfig:
     fixed_fibers: tuple[str, str]
     orbit_fibers: tuple[str, ...]
     orbit_size: int = 11
+    euler_total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for symbol in (*self.fixed_fibers, *self.orbit_fibers):
-            if not is_kodaira_type(symbol):
-                raise ValueError(f"unknown Kodaira type {symbol!r}")
-
-    @property
-    def euler_total(self) -> int:
-        return (
-            sum(fiber_euler_number(s) for s in self.fixed_fibers)
-            + self.orbit_size
-            * sum(fiber_euler_number(s) for s in self.orbit_fibers)
-        )
+        # fiber_euler_number raises ValueError on an unknown type
+        total = sum(map(fiber_euler_number, self.fixed_fibers))
+        total += self.orbit_size * sum(map(fiber_euler_number, self.orbit_fibers))
+        object.__setattr__(self, "euler_total", total)
 
     def as_record(self) -> dict:
         return {

@@ -18,12 +18,15 @@ Eigenvalue-pattern grammar:
     item     := ('1' | '-1' | 'Phi' '(' INT ')') ('*' INT)?
 
 Both grammars, and the lattice expressions of `lattice`, share one lexer.
-It rejects input nested deeper than `MAX_NESTING` parentheses.  Errors carry
-the character position that broke the parse.
+Its tokens are INT = [0-9]+, NAME = [A-Za-z_][A-Za-z0-9_]* and one of
+`+-*^/()[],;:`; any other character but whitespace (a digit like '²' too)
+is an error, as is input nested deeper than `MAX_NESTING` parentheses.
+Errors carry the character position that broke the parse.
 """
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -36,6 +39,10 @@ _BindingValue = Union[FieldElement, int, Fraction]
 # Every open parenthesis is one level of parser recursion; the cap keeps the
 # deepest parse well inside Python's recursion limit.
 MAX_NESTING = 100
+
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 class Lexer:
@@ -55,16 +62,16 @@ class Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("INT", text[i:j], i))
                 i = j
                 continue
-            if ch.isalpha() or ch == "_":
+            if ch in _NAME_START:
                 j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                while j < len(text) and text[j] in _NAME_CHARS:
                     j += 1
                 self.tokens.append(("NAME", text[i:j], i))
                 i = j

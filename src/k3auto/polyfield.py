@@ -361,14 +361,18 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.constant(self.context, 1)
+        if n == 0:
+            return Poly.constant(self.context, 1)
+        # square-and-multiply without a product by 1 or a square after the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         o = self._check(other)
@@ -518,11 +522,14 @@ def squarefree_decompose(p: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]
 
 
 def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
-    """Pairwise-coprime monic squarefree basis plus exponent matrix.
+    """Gcd-free basis of nonzero polynomials, plus the exponent matrix.
 
-    Every input equals its leading coefficient times the product of basis
-    elements raised to the matching exponent row, and distinct roots of one
-    basis element cannot be told apart by valuations of the inputs.
+    The generators are monic, squarefree, nonconstant and pairwise coprime
+    by construction (Yun's factors are monic, and so are exact quotients of
+    monic polynomials), so nothing checks them again.  Every input equals
+    its leading coefficient times the product of basis elements raised to
+    the matching exponent row, and distinct roots of one basis element
+    cannot be told apart by valuations of the inputs.
     """
     if not polys:
         raise ZeroPolynomialError("empty input list")
@@ -539,7 +546,6 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
             continue
         _, factors = squarefree_decompose(p)
         for f, _m in factors:
-            f = f.monic()
             new_basis: list[Poly] = []
             for b in basis:
                 g = poly_gcd(f, b)
@@ -548,11 +554,11 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
                     continue
                 rest = b // g
                 if not rest.is_constant:
-                    new_basis.append(rest.monic())
+                    new_basis.append(rest)
                 new_basis.append(g)
                 f = f // g
             if not f.is_constant:
-                new_basis.append(f.monic())
+                new_basis.append(f)
             basis = new_basis
 
     basis.sort(key=lambda q: q.sort_key())
@@ -562,33 +568,13 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
 
 @dataclass(frozen=True)
 class Place:
-    """A closed point of the affine line (monic squarefree generator), or
-    the place at infinity.  The generator's degree counts geometric points."""
+    """A closed point of the affine line, given by its monic squarefree
+    generator, or the place at infinity (generator None); the generator's
+    degree counts geometric points.  A plain record: the fiber analysis
+    takes its places from ``gcdfree_basis``, and ``valuation`` checks a
+    place a caller passes in."""
 
     generator: Poly | None
-
-    def __post_init__(self):
-        g = self.generator
-        if g is None:
-            return
-        if g.is_zero or g.is_constant:
-            raise InvalidPlaceError("finite place needs degree >= 1")
-        if g.leading_coefficient() != g.context.one():
-            raise InvalidPlaceError("finite place generator must be monic")
-        if not is_squarefree(g):
-            raise InvalidPlaceError("finite place generator must be squarefree")
-
-    @classmethod
-    def finite(cls, generator: Poly) -> "Place":
-        return cls(generator)
-
-    @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.generator is None
 
     @property
     def degree(self) -> int:
@@ -614,13 +600,22 @@ def _finite_valuation(p: Poly, generator: Poly) -> int:
 def valuation(p: Poly, place: Place):
     """Largest m with generator^m dividing p; OMEGA for the zero polynomial.
 
-    The infinite place has no direct valuation here; the elliptic-surface
-    layer reads it from degrees (4k - deg a, 6k - deg b, 12k - deg Delta).
+    The place is checked first, even for p = 0: a generator that is not
+    monic, squarefree and of degree >= 1 raises InvalidPlaceError, and so
+    does infinity, whose valuations the surface layer reads from degrees
+    (4k - deg a, 6k - deg b, 12k - deg Delta).
     """
-    if place.is_infinite:
+    g = place.generator
+    if g is None:
         raise InvalidPlaceError("valuation at infinity is handled by the surface layer")
+    if g.is_constant:
+        raise InvalidPlaceError("finite place needs degree >= 1")
+    if g.leading_coefficient() != g.context.one():
+        raise InvalidPlaceError("finite place generator must be monic")
+    if not is_squarefree(g):
+        raise InvalidPlaceError("finite place generator must be squarefree")
     if p.is_zero:
         return OMEGA
-    if p.context != place.generator.context:
+    if p.context != g.context:
         raise ContextMismatchError("polynomial and place from different contexts")
-    return _finite_valuation(p, place.generator)
+    return _finite_valuation(p, g)

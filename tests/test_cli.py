@@ -358,6 +358,19 @@ def test_oversized_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["lattice", "A²"],
+                 "error: unexpected character '²' (at position 1)\n", id="lattice"),
+    pytest.param(["surface", "analyze", "--a", "1", "--b", "t^²"],
+                 "error: unexpected character '²' (at position 2)\n", id="poly"),
+])
+def test_non_ascii_digit_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
 def test_import_loads_no_sympy():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = ("import sys, k3auto.cli; "

@@ -221,14 +221,14 @@ def test_flip_matches_infinity_fiber():
         # discriminants flip along with the model
         assert discriminant(flipped) == reversed_to(discriminant(m), 12 * m.k)
         # the infinity fiber is the flipped model's fiber at the origin
-        origin = Place.finite(Poly.variable(m.context))
+        origin = Place(Poly.variable(m.context))
         triple = minimalize_at_place(
             valuation(flipped.a, origin),
             valuation(flipped.b, origin),
             valuation(discriminant(flipped), origin),
         )
         at_inf = analyze_fibers(m).fibers[-1]
-        assert at_inf.place.is_infinite
+        assert at_inf.place == Place(None)
         assert kodaira_type_from_valuations(*triple[:3]) == at_inf.kodaira_type
         assert triple[2] == at_inf.v_delta and triple[3] == 0
 

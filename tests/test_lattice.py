@@ -257,7 +257,9 @@ def test_lattice_expression_grammar():
     assert build_lattice("A128 + A128").rank == 256
     for bad in ("B3", "U +", "A", "E9", "D2", "U(0)", "U + A10 junk", "A(2",
                 "U(- 11)", "A10 2", "U11", "A_10", "U # A10",
-                "A257", "A128 + A128 + U", "(" * 101 + "U" + ")" * 101):
+                "A257", "A128 + A128 + U", "(" * 101 + "U" + ")" * 101,
+                # INT and NAME are ASCII only
+                "A²", "A١٠", "U(١١)", "Aµ", "U + E８"):
         with pytest.raises(LatticeExprError):
             build_lattice(bad)
 

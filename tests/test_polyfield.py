@@ -108,6 +108,30 @@ def test_poly_divmod_identity():
         assert rem.is_zero or rem.degree < q.degree
 
 
+def test_poly_power_multiplies_only_as_needed(monkeypatch):
+    p = parse_poly("2*t^3 - w*t + 1/3", QW3)
+    product = Poly.constant(QW3, 1)
+    for n in range(10):
+        assert p ** n == product
+        product = product * p
+    assert Poly.zero(Q) ** 0 == Poly.constant(Q, 1)
+    with pytest.raises(ValueError):
+        p ** -1
+
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for n, expected in ((2, 1), (3, 2), (0, 0), (1, 0), (8, 3)):
+        calls.clear()
+        p ** n
+        assert len(calls) == expected, n
+
+
 def test_poly_gcd_matches_sympy():
     cases = [
         ("t^3 - t", "t^2 - 1"),
@@ -209,15 +233,15 @@ def test_gcdfree_basis_rejects_bad_input():
 
 def test_valuation_counts_repeated_division():
     delta = parse_poly("27*(t^11 - 1)^2", Q)
-    at_one = Place.finite(parse_poly("t - 1", Q))
+    at_one = Place(parse_poly("t - 1", Q))
     assert valuation(delta, at_one) == 2
-    whole = Place.finite(parse_poly("t^11 - 1", Q))
+    whole = Place(parse_poly("t^11 - 1", Q))
     assert valuation(delta, whole) == 2
     assert valuation(parse_poly("t + 5", Q), at_one) == 0
 
 
 def test_valuation_of_zero_is_omega():
-    place = Place.finite(parse_poly("t", Q))
+    place = Place(parse_poly("t", Q))
     v = valuation(Poly.zero(Q), place)
     assert v is OMEGA
     assert v >= 4 and v >= 10 ** 9
@@ -227,18 +251,23 @@ def test_valuation_of_zero_is_omega():
 
 def test_valuation_rejects_infinity():
     with pytest.raises(InvalidPlaceError):
-        valuation(Poly.variable(Q), Place.infinity())
+        valuation(Poly.variable(Q), Place(None))
 
 
 def test_place_validation():
-    with pytest.raises(InvalidPlaceError):
-        Place.finite(parse_poly("2*t - 2", Q))  # not monic
-    with pytest.raises(InvalidPlaceError):
-        Place.finite(parse_poly("(t - 1)^2", Q))  # not squarefree
-    with pytest.raises(InvalidPlaceError):
-        Place.finite(Poly.constant(Q, 1))
-    assert Place.infinity().degree == 1
-    assert Place.finite(parse_poly("t^11 - 1", Q)).degree == 11
+    # valuation checks the place a caller passes in before anything else,
+    # so a bad place is rejected even when p is zero
+    bad_places = [
+        parse_poly("2*t - 2", Q),  # not monic
+        parse_poly("(t - 1)^2", Q),  # not squarefree
+        Poly.constant(Q, 1),  # degree 0
+    ]
+    for bad in bad_places:
+        for p in (parse_poly("t - 1", Q), Poly.zero(Q)):
+            with pytest.raises(InvalidPlaceError):
+                valuation(p, Place(bad))
+    assert Place(None).degree == 1
+    assert Place(parse_poly("t^11 - 1", Q)).degree == 11
 
 
 def test_poly_gcd_contract_errors():
@@ -274,6 +303,11 @@ def test_parse_poly_error_positions():
         parse_poly("(t + 1", Q)
     with pytest.raises(ParseError):
         parse_poly("1/0 + t", Q)
+    # INT and NAME are ASCII only: other digits and letters are not tokens
+    for text, position in (("t^²", 2), ("t + ١٠", 4), ("tµ", 1), ("x²", 1)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, Q)
+        assert err.value.position == position, text
 
 
 def test_poly_str_reparses():

@@ -19,6 +19,7 @@ from helpers import (
     reversed_to,
 )
 
+from k3auto import polyfield
 from k3auto.ellsurf import (
     WeierstrassModel,
     _classify,
@@ -34,7 +35,15 @@ from k3auto.lattice import (
     discriminant_group,
 )
 from k3auto.parsing import parse_poly
-from k3auto.polyfield import OMEGA, Place, Poly, poly_gcd, squarefree_decompose, valuation
+from k3auto.polyfield import (
+    OMEGA,
+    Place,
+    Poly,
+    is_squarefree,
+    poly_gcd,
+    squarefree_decompose,
+    valuation,
+)
 
 
 def with_zero_coefficient_variants(m):
@@ -120,10 +129,10 @@ def test_flip_reverses_discriminant():
             flipped = flip_model(m)
             assert discriminant(flipped) == reversed_to(discriminant(m), 12 * m.k)
             # the fiber at infinity, read from degrees, is the flip's at t = 0
-            origin = Place.finite(Poly.variable(context))
+            origin = Place(Poly.variable(context))
             at_origin = [valuation(p, origin)
                          for p in (flipped.a, flipped.b, discriminant(flipped))]
-            assert analyze_fibers(m).fibers[-1] == _classify(Place.infinity(), *at_origin)
+            assert analyze_fibers(m).fibers[-1] == _classify(Place(None), *at_origin)
 
 
 def test_euler_bookkeeping_on_random_models():
@@ -138,11 +147,31 @@ def test_euler_bookkeeping_on_random_models():
             assert analysis.euler_total + 12 * withdrawn == 12 * analysis.k
             if analysis.relatively_minimal:
                 assert analysis.euler_total == analysis.expected_euler
+            # finite places are monic, squarefree and pairwise coprime
+            generators = [f.place.generator for f in analysis.fibers[:-1]]
+            for i, g in enumerate(generators):
+                assert g.leading_coefficient() == context.one()
+                assert is_squarefree(g)
+                assert all(poly_gcd(g, h).is_constant for h in generators[i + 1:])
             # finite valuations from the exponent matrix match valuation()
             for f in analysis.fibers[:-1]:
                 assert (f.v_a, f.v_b, f.v_delta) == tuple(
                     valuation(p, f.place) for p in (m.a, m.b, discriminant(m))
                 )
+
+
+def test_basis_places_are_not_checked_again(monkeypatch):
+    # the basis's generators are squarefree by construction; only
+    # valuation() checks a place, and analyze_fibers never calls it
+    def refuse(_p):
+        raise AssertionError("is_squarefree called")
+
+    rng = random.Random(108)
+    models = [random_model(rng, rng.choice(CONTEXTS), max_degree=6) for _ in range(30)]
+    monkeypatch.setattr(polyfield, "is_squarefree", refuse)
+    for m in models:
+        for variant in with_zero_coefficient_variants(m):
+            analyze_fibers(variant)  # raises at the first check of a place
 
 
 def _sympy_poly(p, domain):
