@@ -153,21 +153,21 @@ class OrbitConfig:
 
 def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple[str, ...]]:
     """All multisets over pool, sorted distinct (Euler number, symbol) keys,
-    whose Euler numbers sum to exactly budget."""
+    whose Euler numbers sum to exactly budget.  An explicit stack, not
+    recursion: a multiset can hold up to budget symbols."""
     out: list[tuple[str, ...]] = []
-
-    def rec(i: int, left: int, acc: list[str]):
+    # (next pool index, budget left, symbols so far); skipping pool[i] is
+    # pushed last so that it is explored first
+    stack = [(0, budget, ())]
+    while stack:
+        i, left, acc = stack.pop()
         if left == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(pool):
-            return
-        e, symbol = pool[i]
-        rec(i + 1, left, acc)
-        if e <= left:
-            rec(i, left - e, acc + [symbol])
-
-    rec(0, budget, [])
+            out.append(acc)
+        elif i < len(pool):
+            e, symbol = pool[i]
+            if e <= left:
+                stack.append((i, left - e, acc + (symbol,)))
+            stack.append((i + 1, left, acc))
     return out
 
 

@@ -6,6 +6,14 @@ Polynomials are dense coefficient tuples (lowest degree first, no trailing
 zeros).  Squarefree structure is exposed through Yun decomposition and a
 gcd-free basis; irreducible factorization is deliberately avoided, places
 of the affine line are represented by monic squarefree generators instead.
+
+Most gcds the fiber analysis asks for are 1, and Euclid on Fraction
+coefficients pays for coefficient growth to find that out.  ``poly_gcd``
+therefore first reduces both inputs modulo one prime p of MODULAR_PRIMES
+(sending sqrt(d) to a square root of d mod p); when the images are coprime
+over F_p, so are the inputs, and the gcd is 1.  Otherwise Euclid runs as
+before.  The shortcut only ever returns the answer Euclid would return, so
+the result cannot depend on the prime: only the running time does.
 """
 
 from __future__ import annotations
@@ -474,12 +482,92 @@ class Poly:
         return f"Poly({self})"
 
 
+# Primes p = 3 mod 4 just below 2^62, largest first.  p = 3 mod 4 makes
+# d^((p+1)/4) a square root of d whenever d is a square mod p.  Written out
+# so that importing the module searches for nothing.
+MODULAR_PRIMES = (
+    4611686018427387847, 4611686018427387787, 4611686018427387751,
+    4611686018427387631, 4611686018427387587, 4611686018427387323,
+    4611686018427387271, 4611686018427387139, 4611686018427387131,
+    4611686018427387127, 4611686018427387091, 4611686018427386923,
+    4611686018427386911, 4611686018427386903, 4611686018427386887,
+    4611686018427386707,
+)
+
+
+def _reduce_mod(p: Poly, prime: int, root: int) -> list[int] | None:
+    """Image of p in F_prime[t] under sqrt(d) -> root, lowest degree first;
+    None when prime divides a denominator or the leading coefficient maps
+    to 0."""
+    image = []
+    for c in p.coefficients:
+        value = 0
+        for q, scale in ((c.x, 1), (c.y, root)):
+            if q:
+                if q.denominator % prime == 0:
+                    return None
+                value += q.numerator * scale * pow(q.denominator, -1, prime)
+        image.append(value % prime)
+    return image if image[-1] else None
+
+
+def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
+    """Whether gcd(a, b) = 1 in F_prime[t], for nonzero a and b given lowest
+    degree first without leading zeros."""
+    while len(b) > 1:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, prime)
+        r = list(a)
+        for top in range(len(r) - 1, n - 1, -1):
+            c = r[top] * inv % prime
+            if c:
+                shift = top - n
+                for i in range(n):
+                    r[shift + i] = (r[shift + i] - c * b[i]) % prime
+        del r[n:]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return len(b) == 1
+
+
+def _coprime_modulo_a_prime(p: Poly, q: Poly) -> bool:
+    """True when the images of p and q modulo the first usable prime of
+    MODULAR_PRIMES are coprime.  A prime is usable when d is a nonzero
+    square mod p (in a quadratic field), p divides no denominator and both
+    leading coefficients survive.  False also when no prime is usable."""
+    d = p.context.d
+    for prime in MODULAR_PRIMES:
+        root = 0
+        if d is not None:
+            root = pow(d, (prime + 1) // 4, prime)
+            if d % prime == 0 or root * root % prime != d % prime:
+                continue
+        a = _reduce_mod(p, prime, root)
+        b = _reduce_mod(q, prime, root)
+        if a is not None and b is not None:
+            return _coprime_mod(a, b, prime)
+    return False
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(p, 0) is monic p."""
+    """Monic gcd by the Euclidean algorithm; gcd(p, 0) is monic p.
+
+    Two nonconstant inputs are first mapped to F_l[t] for the first usable
+    prime l of MODULAR_PRIMES, sqrt(d) going to a square root of d mod l.
+    If the images are coprime, so are p and q, and the gcd is 1: both
+    leading coefficients survive, so the Sylvester matrix of the images is
+    the image of that of p and q, and the resultant of the images, nonzero
+    because they are coprime, is the image of Res(p, q), which is therefore
+    nonzero.  In every other case Euclid decides, so the answer never
+    depends on the prime.
+    """
     if p.context != q.context:
         raise ContextMismatchError("mixed polynomial contexts")
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
+    if not p.is_constant and not q.is_constant and _coprime_modulo_a_prime(p, q):
+        return Poly.constant(p.context, 1)
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
@@ -530,6 +618,12 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
     its leading coefficient times the product of basis elements raised to
     the matching exponent row, and distinct roots of one basis element
     cannot be told apart by valuations of the inputs.
+
+    Each generator carries its exponent row (one entry per input) through
+    the refinement, so no exponent is found by division.  When a Yun factor
+    f of multiplicity m of input i meets a generator b, g = gcd(f, b) gets
+    b's row plus m in column i, the cofactor b/g keeps b's row, and what is
+    left of f after every generator becomes a new one with m in column i.
     """
     if not polys:
         raise ZeroPolynomialError("empty input list")
@@ -540,30 +634,34 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
         if p.is_zero:
             raise ZeroPolynomialError("zero polynomial in gcd-free basis input")
 
-    basis: list[Poly] = []
-    for p in polys:
+    basis: list[tuple[Poly, list[int]]] = []
+    for i, p in enumerate(polys):
         if p.is_constant:
             continue
         _, factors = squarefree_decompose(p)
-        for f, _m in factors:
-            new_basis: list[Poly] = []
-            for b in basis:
+        for f, m in factors:
+            refined: list[tuple[Poly, list[int]]] = []
+            for b, row in basis:
                 g = poly_gcd(f, b)
                 if g.is_constant:
-                    new_basis.append(b)
+                    refined.append((b, row))
                     continue
                 rest = b // g
                 if not rest.is_constant:
-                    new_basis.append(rest)
-                new_basis.append(g)
+                    refined.append((rest, row))
+                split = row.copy()
+                split[i] += m
+                refined.append((g, split))
                 f = f // g
             if not f.is_constant:
-                new_basis.append(f)
-            basis = new_basis
+                fresh = [0] * len(polys)
+                fresh[i] = m
+                refined.append((f, fresh))
+            basis = refined
 
-    basis.sort(key=lambda q: q.sort_key())
-    exponents = [[_finite_valuation(p, b) for b in basis] for p in polys]
-    return basis, exponents
+    basis.sort(key=lambda entry: entry[0].sort_key())
+    exponents = [[row[i] for _, row in basis] for i in range(len(polys))]
+    return [b for b, _ in basis], exponents
 
 
 @dataclass(frozen=True)
@@ -587,16 +685,6 @@ class Place:
         return "infinity" if self.generator is None else str(self.generator)
 
 
-def _finite_valuation(p: Poly, generator: Poly) -> int:
-    v = 0
-    while True:
-        q, r = divmod(p, generator)
-        if not r.is_zero:
-            return v
-        v += 1
-        p = q
-
-
 def valuation(p: Poly, place: Place):
     """Largest m with generator^m dividing p; OMEGA for the zero polynomial.
 
@@ -618,4 +706,9 @@ def valuation(p: Poly, place: Place):
         return OMEGA
     if p.context != g.context:
         raise ContextMismatchError("polynomial and place from different contexts")
-    return _finite_valuation(p, g)
+    v = 0
+    while True:
+        p, r = divmod(p, g)
+        if not r.is_zero:
+            return v
+        v += 1

@@ -100,3 +100,25 @@ def reversed_to(p, degree):
     context = p.context
     padded = [p.coefficient(i) for i in range(degree + 1)]
     return Poly.make(context, list(reversed(padded)))
+
+
+def sympy_domain(context):
+    """sympy's QQ, or QQ<sqrt(d)> for a quadratic context."""
+    import sympy  # only the oracle tests need it
+
+    if context.is_quadratic:
+        return sympy.QQ.algebraic_field(sympy.sqrt(context.d))
+    return sympy.QQ
+
+
+def sympy_poly(p, domain):
+    """p as a sympy Poly over QQ or QQ<sqrt(d)>, built from domain elements:
+    converting an expression in sqrt(d) made the sympy factorization test
+    ~8x slower."""
+    import sympy
+
+    def coeff(c):
+        x, y = (sympy.QQ(f.numerator, f.denominator) for f in (c.x, c.y))
+        return x if domain == sympy.QQ else domain([y, x])
+    coeffs = [coeff(c) for c in reversed(p.coefficients)] or [domain.zero]
+    return sympy.Poly.from_list(coeffs, sympy.Symbol("t"), domain=domain)

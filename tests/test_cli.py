@@ -199,6 +199,21 @@ def test_enumerate_fiber_orbits(capsys, tmp_path):
     assert all(c["fixed"] == ["I0", "II"] for c in report["configs"])
 
 
+def test_enumerate_deep_orbit_budget(capsys, tmp_path):
+    # 3000 orbits of one I1 each: one multiset of 3000 symbols, found
+    # without recursing once per symbol
+    path = write_scenario(tmp_path, {
+        "kind": "fiber_orbits", "total_euler": 3000, "orbit_size": 1,
+        "allowed_at_zero": ["I0"], "allowed_at_inf": ["I0"],
+        "orbit_allowed": ["I1"],
+    })
+    code, out, _ = run(capsys, ["enumerate", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 1
+    assert report["configs"][0]["orbits"] == ["I1"] * 3000
+
+
 def test_enumerate_order22(capsys, tmp_path):
     path = write_scenario(tmp_path, {"kind": "order22", "scenario": "lemma9"})
     code, out, _ = run(capsys, ["enumerate", path])

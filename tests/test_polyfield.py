@@ -4,11 +4,14 @@ Derived expectations (gcd triviality, squarefree splittings) are checked
 against sympy as an independent implementation before being asserted.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from helpers import CONTEXTS, random_nonzero_poly, sympy_domain, sympy_poly
 
+from k3auto import polyfield
 from k3auto.errors import (
     ContextMismatchError,
     InvalidPlaceError,
@@ -146,6 +149,97 @@ def test_poly_gcd_matches_sympy():
         assert (p % g).is_zero and (q % g).is_zero
 
 
+def _euclid(p, q):
+    """Plain Euclid, the reference the modular shortcut must agree with."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs():
+    # half of the pairs share a random factor; the other half are almost
+    # always coprime, which the modular certificate settles
+    rng = random.Random(2024)
+    certified = 0
+    for context in CONTEXTS:
+        domain = sympy_domain(context)
+        for i in range(24):
+            p, q = (random_nonzero_poly(rng, context) for _ in range(2))
+            if i % 2:
+                common = random_nonzero_poly(rng, context, max_degree=3)
+                p, q = p * common, q * common
+            g = poly_gcd(p, q)
+            assert g == _euclid(p, q), (p, q)
+            expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
+            assert sympy_poly(g, domain) == expected, (p, q)
+            if not p.is_constant and not q.is_constant:
+                certified += polyfield._coprime_modulo_a_prime(p, q)
+    assert certified >= 24
+
+
+def test_modular_primes_are_primes_3_mod_4():
+    assert len(set(polyfield.MODULAR_PRIMES)) == len(polyfield.MODULAR_PRIMES)
+    for prime in polyfield.MODULAR_PRIMES:
+        assert sympy.isprime(prime) and prime % 4 == 3, prime
+        assert 2 ** 61 < prime < 2 ** 62
+
+
+def _prime_used(monkeypatch, primes, p, q):
+    """(gcd, prime whose image decided coprimality or None) with the
+    module's prime list replaced by primes."""
+    used = []
+    coprime_mod = polyfield._coprime_mod
+
+    def spy(a, b, prime):
+        used.append(prime)
+        return coprime_mod(a, b, prime)
+
+    monkeypatch.setattr(polyfield, "MODULAR_PRIMES", primes)
+    monkeypatch.setattr(polyfield, "_coprime_mod", spy)
+    g = poly_gcd(p, q)
+    assert len(used) <= 1
+    return g, (used[0] if used else None)
+
+
+def test_certificate_skips_prime_dividing_a_denominator(monkeypatch):
+    p = parse_poly("t^2 + 1/7", Q)
+    q = parse_poly("t + 1", Q)
+    g, prime = _prime_used(monkeypatch, (7, 11), p, q)
+    assert g == Poly.constant(Q, 1) and prime == 11
+    g, prime = _prime_used(monkeypatch, (7,), p, q)
+    assert g == Poly.constant(Q, 1) and prime is None
+
+
+def test_certificate_needs_d_a_nonzero_square(monkeypatch):
+    # -3 is 0 mod 3 and a non-residue mod 11, a square mod 7 (2^2 = 4 = -3);
+    # 5 is a non-residue mod 7 and a square mod 11 (4^2 = 16 = 5).  Mod 11
+    # the Q(sqrt(5)) images share the root 4 (16 + 16 + 1 = 33), so Euclid
+    # decides, and finds the gcd 1
+    qr5 = FieldContext(d=5)
+    for context, primes, expected in ((QW3, (3, 11, 7), 7), (qr5, (7, 11), 11)):
+        p = parse_poly("t^2 + w*t + 1", context)
+        q = parse_poly("t - w", context)
+        g, prime = _prime_used(monkeypatch, primes, p, q)
+        assert g == _euclid(p, q) and prime == expected
+    p, q = parse_poly("t^2 + w", QW3), parse_poly("t + 2", QW3)
+    g, prime = _prime_used(monkeypatch, (3, 11), p, q)
+    assert g == Poly.constant(QW3, 1) and prime is None
+
+
+def test_certificate_skips_prime_killing_a_leading_coefficient(monkeypatch):
+    # modulo 7, (7t + 1)(t + 1) and (7t + 1)(t + 2) map to the coprime
+    # t + 1 and t + 2, although they share 7t + 1: the degree drop is what
+    # rules 7 out
+    p = parse_poly("(7*t + 1) * (t + 1)", Q)
+    q = parse_poly("(7*t + 1) * (t + 2)", Q)
+    shared = parse_poly("t + 1/7", Q)
+    for primes, expected in (((7,), None), ((7, 11), 11)):
+        for left, right in ((p, q), (q, p)):
+            g, prime = _prime_used(monkeypatch, primes, left, right)
+            assert g == shared and prime == expected
+
+
 def test_generic_discriminant_is_squarefree():
     # 4 + 27*(t^11 - 1)^2 shares no root with its derivative
     delta = parse_poly("4 + 27*(t^11 - 1)^2", Q)
@@ -222,6 +316,17 @@ def test_gcdfree_basis_special_member():
         parse_poly("t^11 - 2*s", QW3, bindings={"s": s}),
         parse_poly("t^11 - s", QW3, bindings={"s": s}),
     ]
+
+
+def test_gcdfree_basis_carries_exponents_through_a_split():
+    # the second input splits the first's generator t^2 - 1 with
+    # multiplicity 2: t - 1 gets the row [3, 2], t + 1 keeps [3, 0]
+    polys = [parse_poly("(t^2 - 1)^3", Q), parse_poly("(t - 1)^2 * (t + 2)", Q)]
+    basis, exps = gcdfree_basis(polys)
+    assert basis == [parse_poly(s, Q) for s in ("t - 1", "t + 1", "t + 2")]
+    assert exps == [[3, 3, 0], [2, 0, 1]]
+    for poly, row in zip(polys, exps):
+        assert row == [valuation(poly, Place(b)) for b in basis]
 
 
 def test_gcdfree_basis_rejects_bad_input():

@@ -17,6 +17,8 @@ from helpers import (
     random_poly,
     random_unimodular,
     reversed_to,
+    sympy_domain,
+    sympy_poly,
 )
 
 from k3auto import polyfield
@@ -174,16 +176,6 @@ def test_basis_places_are_not_checked_again(monkeypatch):
             analyze_fibers(variant)  # raises at the first check of a place
 
 
-def _sympy_poly(p, domain):
-    """p as a sympy Poly over QQ or QQ<sqrt(d)>, built from domain elements:
-    converting an expression in sqrt(d) made the test below ~8x slower."""
-    def coeff(c):
-        x, y = (sympy.QQ(f.numerator, f.denominator) for f in (c.x, c.y))
-        return x if domain == sympy.QQ else domain([y, x])
-    coeffs = [coeff(c) for c in reversed(p.coefficients)] or [domain.zero]
-    return sympy.Poly.from_list(coeffs, sympy.Symbol("t"), domain=domain)
-
-
 def _sympy_valuation(p, factor):
     if p.is_zero:
         return OMEGA
@@ -215,13 +207,12 @@ def test_fiber_places_match_sympy_factorization():
     # place on Delta must be the product of the factors it holds
     rng = random.Random(110)
     for context in CONTEXTS:
-        domain = (sympy.QQ.algebraic_field(sympy.sqrt(context.d))
-                  if context.is_quadratic else sympy.QQ)
+        domain = sympy_domain(context)
         for i in range(12):
             m = (_shared_factor_model if i % 2 else random_model)(rng, context)
             finite = analyze_fibers(m).fibers[:-1]
-            a, b, delta = (_sympy_poly(p, domain) for p in (m.a, m.b, m.delta))
-            places = [_sympy_poly(f.place.generator, domain) for f in finite]
+            a, b, delta = (sympy_poly(p, domain) for p in (m.a, m.b, m.delta))
+            places = [sympy_poly(f.place.generator, domain) for f in finite]
             held = [[] for _ in finite]
             for factor, _ in delta.factor_list()[1]:
                 hits = [j for j, g in enumerate(places) if g.rem(factor).is_zero]
