@@ -220,27 +220,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.config} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        print(f"error: {args.config} must hold a JSON object, not "
-              f"{type(config).__name__}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.config} must hold a JSON object, not {type(config).__name__}")
     kind = config.get("kind")
     runner = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         known = ", ".join(sorted(_SCENARIO_KINDS))
-        print(f"error: unknown scenario kind {kind!r}; known: {known}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown scenario kind {kind!r}; known: {known}")
     try:
         report, text = runner(config)
     except KeyError as exc:
-        print(f"error: scenario config is missing key {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"scenario config is missing key {exc}") from None
     _emit(report, text, _resolve_format(args))
     return EXIT_OK
 

@@ -29,10 +29,6 @@ _IN_RE = re.compile(r"^I(\d+)(\*?)$")
 _FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 
-def is_kodaira_type(symbol: str) -> bool:
-    return symbol in _FIXED_EULER or bool(_IN_RE.match(symbol))
-
-
 def is_multiplicative(symbol: str) -> bool:
     """I_n for some n >= 0 (the only types that admit multiple fibers)."""
     m = _IN_RE.match(symbol)
@@ -224,29 +220,10 @@ class KodairaFiber:
 
 
 @dataclass(frozen=True)
-class SurfaceClass:
-    """Coarse class read from k: rational (k=1), K3 (k=2), other."""
-
-    kind: str
-    k: int
-
-    @classmethod
-    def from_k(cls, k: int) -> "SurfaceClass":
-        if k == 1:
-            return cls("rational", 1)
-        if k == 2:
-            return cls("K3", 2)
-        return cls("other", k)
-
-    def __str__(self) -> str:
-        return self.kind if self.kind != "other" else f"other(k={self.k})"
-
-
-@dataclass(frozen=True)
 class FiberAnalysis:
     k: int
     fibers: tuple[KodairaFiber, ...]
-    surface: SurfaceClass
+    surface: str  # coarse class read from k: "rational", "K3" or "other(k=...)"
     relatively_minimal: bool
 
     @property
@@ -260,7 +237,7 @@ class FiberAnalysis:
     def as_report(self) -> dict:
         return {
             "k": self.k,
-            "surface": str(self.surface),
+            "surface": self.surface,
             "relatively_minimal": self.relatively_minimal,
             "euler_total": self.euler_total,
             "expected_euler": self.expected_euler,
@@ -301,7 +278,7 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
     analysis = FiberAnalysis(
         k=k,
         fibers=fibers_tuple,
-        surface=SurfaceClass.from_k(k),
+        surface={1: "rational", 2: "K3"}.get(k, f"other(k={k})"),
         relatively_minimal=minimal,
     )
     if minimal and analysis.euler_total != analysis.expected_euler:
@@ -315,14 +292,16 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
 class FiberConfiguration:
     """A multiset of fibers with multiplicities: entries are
     (multiplicity, type, count).  Multiple fibers (multiplicity > 1)
-    exist only for the I_n types."""
+    exist only for the I_n types; they leave ``euler_total`` unchanged."""
 
     entries: tuple[tuple[int, str, int], ...]
+    euler_total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        total = 0
         for mult, symbol, count in self.entries:
-            if not is_kodaira_type(symbol):
-                raise ValueError(f"unknown fiber type {symbol!r}")
+            # fiber_euler_number raises ValueError on an unknown type
+            total += count * fiber_euler_number(symbol)
             if mult < 1 or count < 1:
                 raise ValueError("multiplicity and count must be positive")
             if mult > 1 and not is_multiplicative(symbol):
@@ -330,11 +309,7 @@ class FiberConfiguration:
                     f"multiplicity {mult} on type {symbol}: only I_n fibers "
                     "can be multiple"
                 )
-
-    @property
-    def euler_total(self) -> int:
-        """Euler number; unchanged by multiplicities."""
-        return sum(count * fiber_euler_number(s) for _, s, count in self.entries)
+        object.__setattr__(self, "euler_total", total)
 
     def __str__(self) -> str:
         parts = []

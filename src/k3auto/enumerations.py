@@ -66,15 +66,6 @@ def _rank2_even_det_possible(det: int) -> bool:
     return det % 4 in (0, 3)
 
 
-def _label_for(rank: int, det: int) -> str | None:
-    for expr in ("U", "U(11)", "U + A10"):
-        lat = build_lattice(expr)
-        d, _ = determinant_and_signature(lat)
-        if lat.rank == rank and d == det:
-            return expr
-    return None
-
-
 def rank_det_cases() -> list[RankDetCase]:
     """The five (rank, det) candidates for the rank-(2 or 12) invariant
     sublattice of an even unimodular lattice of signature (3, 19), with the
@@ -83,6 +74,10 @@ def rank_det_cases() -> list[RankDetCase]:
     Infeasible cases carry the parity rule that kills them; feasible ones
     carry the lattice expression realizing them.
     """
+    labels = {}
+    for expr in ("U", "U(11)", "U + A10"):
+        lat = build_lattice(expr)
+        labels[lat.rank, determinant_and_signature(lat)[0]] = expr
     cases = []
     for rank_n in (20, 10):
         rank_m = 22 - rank_n
@@ -96,7 +91,7 @@ def rank_det_cases() -> list[RankDetCase]:
                 # the mod-8 rule
                 if not even_unimodular_exists(1, rank_m - 1):
                     feasible, reason = False, REASON_MOD8
-            label = _label_for(rank_m, det_m) if feasible else None
+            label = labels.get((rank_m, det_m)) if feasible else None
             cases.append(RankDetCase(rank_m, det_m, s, feasible, reason, label))
     cases.sort(key=lambda c: (c.rank_m, c.s))
     return cases
@@ -429,7 +424,7 @@ def _replay_order11_control() -> EliminationReport:
     )
     expected = 2
     candidates = []
-    for t_part in char_poly_decompositions(11, 10, forbid={1}):
+    for t_part in char_poly_decompositions(11, 10, allowed={11}):
         s_part = CyclotomicMultiset.from_counts({1: 2, 11: 1})
         pattern = IsometryPattern(s_part, t_part)
         left = lefschetz_number(pattern)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import PatternError
 
@@ -79,11 +79,11 @@ class CyclotomicMultiset:
             seen = d
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, int] | None = None, *,
-                    plus_ones: int = 0, minus_ones: int = 0) -> "CyclotomicMultiset":
+    def from_counts(cls, counts: Mapping[int, int]) -> "CyclotomicMultiset":
         """Build from {d: count}; d = 1 and d = 2 fold into the unit counts."""
+        plus_ones = minus_ones = 0
         merged: dict[int, int] = {}
-        for d, count in (counts or {}).items():
+        for d, count in counts.items():
             if d <= 0:
                 raise PatternError("block order d must be positive")
             if count < 0:
@@ -199,28 +199,15 @@ def lefschetz_number(pattern: IsometryPattern) -> int:
 
 
 def char_poly_decompositions(order: int, rank: int, *,
-                             forbid: Iterable[int] = (),
-                             require: Iterable[int] = (),
-                             allowed: Iterable[int] | None = None,
-                             fixed: Mapping[int, int] | None = None,
-                             ) -> list[CyclotomicMultiset]:
+                             allowed: Collection[int] | None = None) -> list[CyclotomicMultiset]:
     """All multisets of blocks Phi(d), d | order, with total rank ``rank``.
 
-    Constraints: ``forbid`` bans given d entirely; ``require`` demands at
-    least one block of each given d; ``allowed`` (if given) restricts d to
-    that set; ``fixed`` pins exact counts for given d.  Output is
-    canonically ordered and possibly empty.
+    ``allowed`` (if given) restricts d to that set.  Output is canonically
+    ordered and possibly empty.
     """
     if order < 1 or rank < 0:
         raise ValueError("need order >= 1 and rank >= 0")
-    forbid = set(forbid)
-    require = set(require)
-    fixed = dict(fixed or {})
-    ds = [d for d in divisors(order) if d not in forbid]
-    if allowed is not None:
-        ds = [d for d in ds if d in set(allowed)]
-    if require - set(ds) or set(fixed) - set(ds):
-        return []
+    ds = [d for d in divisors(order) if allowed is None or d in allowed]
     # large phi first so the remaining-rank bound prunes early
     ds.sort(key=_phi, reverse=True)
 
@@ -228,21 +215,14 @@ def char_poly_decompositions(order: int, rank: int, *,
 
     def walk(index: int, remaining: int, chosen: dict[int, int]):
         if index == len(ds):
-            if remaining == 0 and require <= {d for d, c in chosen.items() if c}:
+            if remaining == 0:
                 results.append(CyclotomicMultiset.from_counts(chosen))
             return
         d = ds[index]
         step = _phi(d)
-        if d in fixed:
-            counts = [fixed[d]]
-        else:
-            counts = range(remaining // step + 1)
-        for count in counts:
-            used = count * step
-            if used > remaining:
-                break
+        for count in range(remaining // step + 1):
             chosen[d] = count
-            walk(index + 1, remaining - used, chosen)
+            walk(index + 1, remaining - count * step, chosen)
         chosen.pop(d, None)
 
     walk(0, rank, {})

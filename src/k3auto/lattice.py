@@ -94,10 +94,6 @@ class SignaturePair:
     def pair(self) -> tuple[int, int]:
         return (self.positives, self.negatives)
 
-    def __str__(self) -> str:
-        base = f"({self.positives}, {self.negatives})"
-        return base if not self.zeros else f"{base} + {self.zeros} zeros"
-
 
 @dataclass(frozen=True)
 class DiscGroup:
@@ -109,11 +105,6 @@ class DiscGroup:
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors)
-
-    def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "trivial"
-        return " + ".join(f"Z/{f}" for f in self.invariant_factors)
 
 
 def _adjacency_gram(n: int, edges: Sequence[tuple[int, int]]) -> Lattice:

@@ -40,6 +40,10 @@ _BindingValue = Union[FieldElement, int, Fraction]
 # deepest parse well inside Python's recursion limit.
 MAX_NESTING = 100
 
+# Largest d in Phi(d): every d > 66 has phi(d) > 22, too large for a rank-22
+# pattern, and the cap bounds the totient's trial division at 10^3 steps.
+MAX_BLOCK_ORDER = 10**6
+
 _DIGITS = frozenset(string.digits)
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NAME_CHARS = _NAME_START | _DIGITS
@@ -222,6 +226,8 @@ def _parse_pattern_item(lx: Lexer, counts: dict[int, int]) -> None:
         d = int(tok[1])
         if d < 1:
             raise ParseError("Phi needs a positive order", tok[2])
+        if d > MAX_BLOCK_ORDER:
+            raise ParseError(f"Phi order exceeds the cap {MAX_BLOCK_ORDER}", tok[2])
         lx.expect(")")
     else:
         raise ParseError(f"expected 1, -1 or Phi(d), found {value or 'end of input'!r}", pos)

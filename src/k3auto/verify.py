@@ -9,7 +9,6 @@ JSON-serializable for golden-file testing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -71,9 +70,6 @@ class VerificationReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_report(), sort_keys=True, indent=2)
-
     def to_text(self) -> str:
         lines = []
         for r in self.results:
@@ -111,7 +107,7 @@ def _summary(analysis: FiberAnalysis) -> dict:
     return {
         "fibers": _table(analysis),
         "euler": analysis.euler_total,
-        "surface": str(analysis.surface),
+        "surface": analysis.surface,
     }
 
 
@@ -306,7 +302,7 @@ def _scenario_claim5() -> ScenarioResult:
         "delta_content": str(content),
         "delta_factors": [[str(f), k] for f, k in factors],
         "b_support_mod_11": _exponent_support_mod(m.b, 11),
-        "surface": str(analyze_fibers(m).surface),
+        "surface": analyze_fibers(m).surface,
     }
     return _result("claim5", expected, actual, anchor)
 
@@ -337,7 +333,7 @@ def _scenario_claim6() -> ScenarioResult:
         "generic_i1_count": i1_degree,
         "generic_fibers": _table(analysis),
         "euler": analysis.euler_total,
-        "surface": str(analysis.surface),
+        "surface": analysis.surface,
         "a_support_mod_11": _exponent_support_mod(generic.a, 11),
         "b_support_mod_11": _exponent_support_mod(generic.b, 11),
         "boundary_s_degenerates": any(

@@ -1,10 +1,15 @@
-"""Shared random generators for the property and acceptance suites.
+"""Shared random generators for the property and acceptance suites, the
+sympy oracles and the loader of the benchmark's workloads for the golden
+tests.
 
 Everything is driven by an explicit ``random.Random`` instance so failures
 reproduce exactly.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from k3auto.ellsurf import WeierstrassModel
 from k3auto.errors import InvalidModelError
@@ -122,3 +127,18 @@ def sympy_poly(p, domain):
         return x if domain == sympy.QQ else domain([y, x])
     coeffs = [coeff(c) for c in reversed(p.coefficients)] or [domain.zero]
     return sympy.Poly.from_list(coeffs, sympy.Symbol("t"), domain=domain)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded read-only (once),
+    so a golden test checks the same pool, ops and digests as the benchmark."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -301,6 +301,23 @@ def test_enumerate_rank_mismatch_pattern(capsys, tmp_path):
     assert code == 2
 
 
+def test_huge_phi_order_is_usage_error(tmp_path):
+    # the totient of a 31-digit prime is a trial division past 10^15 steps;
+    # the parser rejects any d over MAX_BLOCK_ORDER first.  A subprocess with
+    # a timeout, so that a regression fails instead of hanging the suite.
+    path = write_scenario(tmp_path, {
+        "kind": "lefschetz",
+        "pattern": "S: [Phi(1000000000000000000000000000057)]; T: []",
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "k3auto.cli", "enumerate", path],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: Phi order exceeds the cap 1000000 (at position 8)\n"
+
+
 # ------------------------------------------------------- format resolution
 
 

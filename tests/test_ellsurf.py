@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3auto import ellsurf
 from k3auto.errors import InconsistentValuationsError, InvalidModelError
 from k3auto.ellsurf import (
     NON_MINIMAL,
@@ -259,3 +260,19 @@ def test_fiber_configuration_rules():
     with pytest.raises(ValueError):
         FiberConfiguration(((0, "I1", 1),))
     assert FiberConfiguration(((11, "I1", 1),)).euler_total == 1
+
+
+def test_fiber_configuration_sums_euler_numbers_once(monkeypatch):
+    calls = []
+
+    def counting(symbol):
+        calls.append(symbol)
+        return fiber_euler_number(symbol)
+
+    monkeypatch.setattr(ellsurf, "fiber_euler_number", counting)
+    config = FiberConfiguration(((11, "I0", 1), (1, "II*", 1), (1, "I1", 2)))
+    assert calls == ["I0", "II*", "I1"]
+    assert config.euler_total == config.euler_total == 12
+    assert calls == ["I0", "II*", "I1"]
+    with pytest.raises(ValueError, match="unknown fiber type 'I-1'"):
+        FiberConfiguration(((1, "I-1", 1),))

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from k3auto import enumerations
 from k3auto.ellsurf import fiber_euler_number
 from k3auto.enumerations import (
     REASON_MOD4,
@@ -44,6 +45,26 @@ def test_rank_det_table():
         (20, 0), (20, 1), (20, 2), (10, 0), (10, 1),
     }
     assert all(c.det_m == -(11 ** c.s) for c in cases)
+
+
+def test_rank_det_cases_build_each_label_lattice_once(monkeypatch):
+    calls = {"build": 0, "det": 0}
+    build, det = enumerations.build_lattice, enumerations.determinant_and_signature
+
+    def counting_build(expr):
+        calls["build"] += 1
+        return build(expr)
+
+    def counting_det(lat):
+        calls["det"] += 1
+        return det(lat)
+
+    monkeypatch.setattr(enumerations, "build_lattice", counting_build)
+    monkeypatch.setattr(enumerations, "determinant_and_signature", counting_det)
+    labels = [c.label for c in rank_det_cases()]
+    assert labels == ["U", None, "U(11)", None, "U + A10"]
+    # one lattice per candidate label, U, U(11) and U + A10, per call
+    assert calls == {"build": 3, "det": 3}
 
 
 def test_rank2_mod4_rule_matches_brute_force():

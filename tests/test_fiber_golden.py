@@ -7,28 +7,14 @@ are imported read-only from the benchmark, so this test and the benchmark
 check the same thing.
 """
 
-import importlib.util
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
+from helpers import load_workloads
 from k3auto import ellsurf, parsing, polyfield
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 K3 = types.SimpleNamespace(polyfield=polyfield, ellsurf=ellsurf, parsing=parsing)
 POOL = workloads.fiber_pool()
 GOLDEN = workloads.load_golden("fibers.json")

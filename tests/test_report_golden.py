@@ -1,0 +1,38 @@
+"""The benchmark's CLI commands and paper reports, byte for byte.
+
+Each command of ``perfbench/workloads.py:CLI_ROTATION`` runs through
+``cli.main`` in-process from the repository root, and its stdout digest is
+compared with ``perfbench/golden/cli.json``.  Each op of ``paper_reports``
+(the orbit enumerations, the order-22 replays and one cyclotomic
+decomposition) is compared with ``perfbench/golden/paper.json``.  Commands,
+ops and digests are imported read-only from the benchmark, so this test and
+the benchmark check the same thing.
+"""
+
+import types
+
+import pytest
+
+from helpers import PERFBENCH, load_workloads
+from k3auto import cli, enumerations, isometry
+
+workloads = load_workloads()
+K3 = types.SimpleNamespace(enumerations=enumerations, isometry=isometry)
+CLI_GOLDEN = workloads.load_golden("cli.json")
+PAPER_GOLDEN = workloads.load_golden("paper.json")
+PAPER_REPORTS = workloads.paper_reports(K3)
+
+
+@pytest.mark.parametrize("argv", workloads.CLI_ROTATION, ids=" ".join)
+def test_cli_stdout_matches_golden_digest(argv, capsys, monkeypatch):
+    monkeypatch.chdir(PERFBENCH.parent)  # the enumerate configs are relative paths
+    monkeypatch.delenv("K3_REPORT_FORMAT", raising=False)
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert workloads.digest(out) == CLI_GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("key", sorted(PAPER_REPORTS))
+def test_paper_report_matches_golden_digest(key):
+    assert workloads.digest(PAPER_REPORTS[key]()) == PAPER_GOLDEN[key]
