@@ -198,7 +198,10 @@ class KodairaFiber:
 
     @property
     def euler(self) -> int:
-        return fiber_euler_number(self.kodaira_type)
+        """The minimal v(Delta): in residue characteristic 0 a minimal
+        fiber's Euler number is its v(Delta) (Ogg, Amer. J. Math. 89, 1967),
+        as each row of ``kodaira_type_from_valuations`` requires."""
+        return self.v_delta - 12 * self.minimalization_steps
 
     @property
     def is_singular(self) -> bool:
@@ -225,10 +228,7 @@ class FiberAnalysis:
     fibers: tuple[KodairaFiber, ...]
     surface: str  # coarse class read from k: "rational", "K3" or "other(k=...)"
     relatively_minimal: bool
-
-    @property
-    def euler_total(self) -> int:
-        return sum(f.degree * f.euler for f in self.fibers)
+    euler_total: int  # sum of degree * euler over the fibers
 
     @property
     def expected_euler(self) -> int:
@@ -280,6 +280,7 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
         fibers=fibers_tuple,
         surface={1: "rational", 2: "K3"}.get(k, f"other(k={k})"),
         relatively_minimal=minimal,
+        euler_total=sum(f.degree * f.euler for f in fibers_tuple),
     )
     if minimal and analysis.euler_total != analysis.expected_euler:
         raise InconsistentValuationsError(

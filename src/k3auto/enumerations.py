@@ -16,7 +16,7 @@ assumptions in the reports, never re-derived here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ellsurf import fiber_euler_number
@@ -111,25 +111,20 @@ def kodaira_types_up_to(max_euler: int) -> tuple[str, ...]:
     symbols = [f"I{n}" for n in range(1, max_euler + 1)]
     symbols += [f"I{n}*" for n in range(0, max(0, max_euler - 6) + 1)]
     symbols += ["II", "III", "IV", "IV*", "III*", "II*"]
-    keep = [s for s in symbols if fiber_euler_number(s) <= max_euler]
-    return tuple(sorted(set(keep), key=_type_key))
+    return tuple(s for e, s in sorted(set(map(_type_key, symbols))) if e <= max_euler)
 
 
 @dataclass(frozen=True)
 class OrbitConfig:
     """Fixed fibers at 0 and infinity plus a multiset of types, each of the
-    latter appearing in one free orbit of ``orbit_size`` fibers."""
+    latter appearing in one free orbit of ``orbit_size`` fibers.
+    ``euler_total`` is e(fiber 0) + e(fiber inf) + orbit_size * (sum of the
+    orbit types' Euler numbers)."""
 
     fixed_fibers: tuple[str, str]
     orbit_fibers: tuple[str, ...]
-    orbit_size: int = 11
-    euler_total: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # fiber_euler_number raises ValueError on an unknown type
-        total = sum(map(fiber_euler_number, self.fixed_fibers))
-        total += self.orbit_size * sum(map(fiber_euler_number, self.orbit_fibers))
-        object.__setattr__(self, "euler_total", total)
+    orbit_size: int
+    euler_total: int
 
     def as_record(self) -> dict:
         return {
@@ -146,12 +141,12 @@ class OrbitConfig:
         )
 
 
-def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple[str, ...]]:
+def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple]:
     """All multisets over pool, sorted distinct (Euler number, symbol) keys,
     whose Euler numbers sum to exactly budget.  An explicit stack, not
-    recursion: a multiset can hold up to budget symbols."""
-    out: list[tuple[str, ...]] = []
-    # (next pool index, budget left, symbols so far); skipping pool[i] is
+    recursion: a multiset can hold up to budget keys."""
+    out: list[tuple] = []
+    # (next pool index, budget left, keys so far); skipping pool[i] is
     # pushed last so that it is explored first
     stack = [(0, budget, ())]
     while stack:
@@ -159,9 +154,9 @@ def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple
         if left == 0:
             out.append(acc)
         elif i < len(pool):
-            e, symbol = pool[i]
-            if e <= left:
-                stack.append((i, left - e, acc + (symbol,)))
+            key = pool[i]
+            if key[0] <= left:
+                stack.append((i, left - key[0], acc + (key,)))
             stack.append((i + 1, left, acc))
     return out
 
@@ -179,31 +174,28 @@ def fiber_orbit_configs(total_euler: int,
     at the fixed places.  Configurations whose two fixed fibers could be
     swapped (both orders admissible) are reported once, in canonical order.
     """
-    zero_set, inf_set = set(allowed_at_zero), set(allowed_at_inf)
-    orbit_set = set(orbit_allowed) - {"I0"}
-    # ValueError on an unknown type
-    keys = {s: _type_key(s) for s in (*zero_set, *inf_set, *orbit_set)}
-    pool = sorted(keys[s] for s in orbit_set)
+    # each entry keyed once, in list order, so a ValueError names the first
+    # unknown type of zero, then inf, then orbit
+    zero = {_type_key(s) for s in allowed_at_zero}
+    inf = {_type_key(s) for s in allowed_at_inf}
+    pool = sorted({_type_key(s) for s in orbit_allowed if s != "I0"})
 
-    def order(symbols):
-        return tuple(keys[s] for s in symbols)
-
-    multisets: dict[int, list[tuple[str, ...]]] = {}
-    found: set[tuple[tuple[str, str], tuple[str, ...]]] = set()
-    for f0 in zero_set:
-        for finf in inf_set:
-            remaining = total_euler - keys[f0][0] - keys[finf][0]
+    multisets: dict[int, list[tuple]] = {}
+    found: set[tuple] = set()
+    for k0 in zero:
+        for kinf in inf:
+            remaining = total_euler - k0[0] - kinf[0]
             if remaining < 0 or remaining % orbit_size:
                 continue
-            fixed = (f0, finf)
-            if finf in zero_set and f0 in inf_set:
-                fixed = min(fixed, (finf, f0), key=order)
+            fixed = (k0, kinf)
+            if kinf in zero and k0 in inf:
+                fixed = min(fixed, (kinf, k0))
             budget = remaining // orbit_size
             if budget not in multisets:
                 multisets[budget] = _orbit_multisets(pool, budget)
             found.update((fixed, orbit) for orbit in multisets[budget])
-    return [OrbitConfig(fixed, orbit, orbit_size)
-            for fixed, orbit in sorted(found, key=lambda c: (order(c[0]), order(c[1])))]
+    return [OrbitConfig((k0[1], kinf[1]), tuple(s for _, s in orbit), orbit_size, total_euler)
+            for (k0, kinf), orbit in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ def _replay_order22_on_big_algebraic_part() -> EliminationReport:
     iota_plus, iota_minus = 4, 8
     candidates = []
     for square_on_algebraic in char_poly_decompositions(11, 12):
-        primitive_blocks = dict(square_on_algebraic.blocks).get(11, 0)
+        primitive_blocks = square_on_algebraic.counts().get(11, 0)
         if primitive_blocks == 0:
             # composite = involution on the algebraic part, full primitive
             # block on the transcendental part
@@ -364,7 +356,7 @@ def _replay_order22_on_small_algebraic_part() -> EliminationReport:
         )
         s_parts = [
             m for m in char_poly_decompositions(22, algebraic_rank)
-            if m.power(2) == square_target and m.plus_ones >= 1
+            if m.power(2) == square_target and 1 in m.counts()
         ]
         for t_part in t_parts:
             for s_part in s_parts:

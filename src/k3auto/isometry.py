@@ -1,9 +1,9 @@
 """Exact eigenvalue bookkeeping for finite-order isometries of the K3
 cohomology lattice.
 
-Eigenvalue sets are stored only as whole Galois orbits: full blocks Phi(d)
-(all primitive d-th roots of unity at once) plus explicitly signed +-1
-units.  Arbitrary single primitive roots are inexpressible, which keeps
+Eigenvalue sets are stored only as whole Galois orbits: full blocks Phi(d),
+all primitive d-th roots of unity at once, with +1 as Phi(1) and -1 as
+Phi(2).  Arbitrary single primitive roots are inexpressible, which keeps
 every trace a rational integer.  A full Phi(d) block has rank phi(d)
 (Euler's totient) and trace mu(d) (the Moebius function); both, and the
 divisors of an order, come from trial division, since the orders here are
@@ -55,52 +55,34 @@ def _mu(d: int) -> int:
 
 @dataclass(frozen=True)
 class CyclotomicMultiset:
-    """A Galois-stable eigenvalue multiset: +-1 units and full Phi(d) blocks.
+    """A Galois-stable eigenvalue multiset: full Phi(d) blocks, (d, count)
+    pairs sorted by strictly increasing d.  The units are blocks too: +1 is
+    Phi(1) and -1 is Phi(2)."""
 
-    Blocks with d = 1 or d = 2 are normalized into the unit counts, so
-    ``blocks`` only carries d >= 3, sorted by d.
-    """
-
-    plus_ones: int = 0
-    minus_ones: int = 0
     blocks: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.plus_ones < 0 or self.minus_ones < 0:
-            raise PatternError("unit counts must be nonnegative")
         seen = 0
         for d, count in self.blocks:
-            if d < 3:
-                raise PatternError("blocks with d < 3 must be folded into units")
             if count <= 0:
                 raise PatternError("block counts must be positive")
             if d <= seen:
-                raise PatternError("blocks must be sorted by strictly increasing d")
+                raise PatternError("blocks must be sorted by strictly increasing d >= 1")
             seen = d
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "CyclotomicMultiset":
-        """Build from {d: count}; d = 1 and d = 2 fold into the unit counts."""
-        plus_ones = minus_ones = 0
-        merged: dict[int, int] = {}
+        """Build from {d: count}; zero counts are dropped."""
         for d, count in counts.items():
             if d <= 0:
                 raise PatternError("block order d must be positive")
             if count < 0:
                 raise PatternError("block counts must be nonnegative")
-            if count == 0:
-                continue
-            if d == 1:
-                plus_ones += count
-            elif d == 2:
-                minus_ones += count
-            else:
-                merged[d] = merged.get(d, 0) + count
-        return cls(plus_ones, minus_ones, tuple(sorted(merged.items())))
+        return cls(tuple(sorted((d, c) for d, c in counts.items() if c)))
 
     @classmethod
     def units(cls, plus: int = 0, minus: int = 0) -> "CyclotomicMultiset":
-        return cls(plus, minus, ())
+        return cls.from_counts({1: plus, 2: minus})
 
     @classmethod
     def block(cls, d: int, count: int = 1) -> "CyclotomicMultiset":
@@ -108,31 +90,15 @@ class CyclotomicMultiset:
 
     @property
     def rank(self) -> int:
-        return (self.plus_ones + self.minus_ones
-                + sum(count * _phi(d) for d, count in self.blocks))
+        return sum(count * _phi(d) for d, count in self.blocks)
 
     @property
     def trace(self) -> int:
-        return (self.plus_ones - self.minus_ones
-                + sum(count * _mu(d) for d, count in self.blocks))
+        return sum(count * _mu(d) for d, count in self.blocks)
 
     def counts(self) -> dict[int, int]:
-        """The multiset as {d: count}, units reported as d = 1 and d = 2."""
-        out: dict[int, int] = {}
-        if self.plus_ones:
-            out[1] = self.plus_ones
-        if self.minus_ones:
-            out[2] = self.minus_ones
-        out.update({d: count for d, count in self.blocks})
-        return out
-
-    def combine(self, other: "CyclotomicMultiset") -> "CyclotomicMultiset":
-        merged = self.counts()
-        for d, count in other.counts().items():
-            merged[d] = merged.get(d, 0) + count
-        return CyclotomicMultiset.from_counts(merged)
-
-    __add__ = combine
+        """The multiset as {d: count}."""
+        return dict(self.blocks)
 
     def power(self, exponent: int) -> "CyclotomicMultiset":
         """Eigenvalues of g^exponent given those of g.
@@ -142,24 +108,20 @@ class CyclotomicMultiset:
         phi(d)/phi(d') copies of Phi(d').
         """
         result: dict[int, int] = {}
-        for d, count in self.counts().items():
+        for d, count in self.blocks:
             d_new = d // math.gcd(d, exponent)
-            copies = _phi(d) // _phi(d_new)
-            result[d_new] = result.get(d_new, 0) + count * copies
+            result[d_new] = result.get(d_new, 0) + count * (_phi(d) // _phi(d_new))
         return CyclotomicMultiset.from_counts(result)
 
     def sort_key(self):
-        return tuple((d, -count) for d, count in sorted(self.counts().items()))
+        return tuple((d, -count) for d, count in self.blocks)
 
     def as_literal(self) -> str:
         """Render in the pattern-literal grammar, e.g. ``1*4, -1*8, Phi(11)``."""
         parts = []
-        if self.plus_ones:
-            parts.append("1" if self.plus_ones == 1 else f"1*{self.plus_ones}")
-        if self.minus_ones:
-            parts.append("-1" if self.minus_ones == 1 else f"-1*{self.minus_ones}")
         for d, count in self.blocks:
-            parts.append(f"Phi({d})" if count == 1 else f"Phi({d})*{count}")
+            name = {1: "1", 2: "-1"}.get(d, f"Phi({d})")
+            parts.append(name if count == 1 else f"{name}*{count}")
         return ", ".join(parts)
 
     def __str__(self) -> str:

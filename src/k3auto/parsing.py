@@ -241,16 +241,6 @@ def _parse_pattern_item(lx: Lexer, counts: dict[int, int]) -> None:
     counts[d] = counts.get(d, 0) + count
 
 
-def parse_multiset(text: str) -> CyclotomicMultiset:
-    """Parse a bracketed eigenvalue multiset like ``[1*4, -1*8, Phi(11)]``."""
-    lx = Lexer(text)
-    m = _parse_multiset_items(lx)
-    tok = lx.peek()
-    if tok[0] != "END":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return m
-
-
 def parse_pattern(text: str) -> IsometryPattern:
     """Parse a full pattern literal ``S: [...]; T: [...]``."""
     lx = Lexer(text)

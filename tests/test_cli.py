@@ -318,6 +318,23 @@ def test_huge_phi_order_is_usage_error(tmp_path):
     assert result.stderr == "error: Phi order exceeds the cap 1000000 (at position 8)\n"
 
 
+def test_unknown_orbit_type_error_is_hash_seed_independent(tmp_path):
+    # the first unknown entry in list order is named, whatever the set
+    # iteration order of the interpreter's string hashing
+    path = write_scenario(tmp_path, {
+        **FIBER_ORBITS, "orbit_allowed": ["V", "VI", "VII", "X1", "Q"],
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    stderrs = []
+    for seed in ("1", "2"):
+        result = subprocess.run([sys.executable, "-m", "k3auto.cli", "enumerate", path],
+                                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        stderrs.append(result.stderr)
+    assert stderrs == ["error: unknown fiber type 'V'\n"] * 2
+
+
 # ------------------------------------------------------- format resolution
 
 

@@ -200,6 +200,16 @@ def test_non_minimal_model_reported_not_fixed():
     assert analysis.euler_total != analysis.expected_euler
 
 
+def test_fiber_analysis_reads_euler_numbers_from_valuations(monkeypatch):
+    # each fiber's Euler number is its minimal v(Delta); no symbol is parsed
+    calls = []
+    monkeypatch.setattr(ellsurf, "fiber_euler_number", calls.append)
+    report = analyze_fibers(model("1", "t^11 - 1")).as_report()
+    assert calls == []
+    assert [f["euler"] for f in report["fibers"]] == [0, 1, 2]
+    assert report["euler_total"] == 0 * 11 + 1 * 22 + 2 * 1 == 24
+
+
 def reversed_to(p: Poly, degree: int) -> Poly:
     padded = list(p.coefficients) + [p.context.zero()] * (
         degree + 1 - len(p.coefficients)

@@ -83,11 +83,43 @@ def test_kodaira_pool():
 
 
 def test_orbit_config_euler_and_str():
-    config = OrbitConfig(("I0", "II"), ("I1", "I1"))
+    config = OrbitConfig(("I0", "II"), ("I1", "I1"), 11, 24)
     assert config.euler_total == 0 + 2 + 11 * 2
     assert str(config) == "[0: I0, inf: II, orbits: 11xI1, 11xI1]"
-    with pytest.raises(ValueError):
-        OrbitConfig(("I0", "V"), ())
+    with pytest.raises(ValueError, match="unknown fiber type 'V'"):
+        fiber_orbit_configs(24, ["I0", "V"], ["II"], ["I1"])
+
+
+def orbit_args(total_euler):
+    """The arguments of the benchmark's orbits ops: I0 or any singular type
+    of Euler number <= 24 at the fixed places, every type an orbit of 11
+    fibers can afford in the orbits."""
+    fixed = ("I0",) + kodaira_types_up_to(24)
+    return total_euler, fixed, fixed, kodaira_types_up_to(total_euler // 11)
+
+
+def test_orbit_configs_key_each_entry_once(monkeypatch):
+    args = orbit_args(96)
+    calls = []
+
+    def counting(symbol):
+        calls.append(symbol)
+        return fiber_euler_number(symbol)
+
+    monkeypatch.setattr(enumerations, "fiber_euler_number", counting)
+    configs = fiber_orbit_configs(*args)
+    assert len(configs) == 4216
+    assert len(calls) <= sum(map(len, args[1:])) == 115
+
+
+@pytest.mark.parametrize("total", (24, 48, 96))
+def test_orbit_configs_sum_to_the_budget(total):
+    for c in fiber_orbit_configs(*orbit_args(total)):
+        recomputed = (sum(map(fiber_euler_number, c.fixed_fibers))
+                      + c.orbit_size * sum(map(fiber_euler_number, c.orbit_fibers)))
+        assert c.euler_total == total == recomputed
+        # a plain record: its four fields rebuild it
+        assert OrbitConfig(c.fixed_fibers, c.orbit_fibers, c.orbit_size, total) == c
 
 
 def test_main_orbit_enumeration():

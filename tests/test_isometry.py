@@ -24,7 +24,7 @@ from k3auto.isometry import (
     lefschetz_number,
     local_curve_possible,
 )
-from k3auto.parsing import parse_multiset, parse_pattern
+from k3auto.parsing import parse_pattern
 
 
 def primitive_roots(d: int) -> list[complex]:
@@ -36,7 +36,7 @@ def primitive_roots(d: int) -> list[complex]:
 
 
 def numeric_eigenvalues(m: CyclotomicMultiset) -> list[complex]:
-    values = [1.0 + 0j] * m.plus_ones + [-1.0 + 0j] * m.minus_ones
+    values = []
     for d, count in m.blocks:
         values.extend(primitive_roots(d) * count)
     return sorted(values, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -69,28 +69,25 @@ def test_block_trace_matches_numeric_root_sums():
 
 
 def test_multiset_normalization_and_validation():
+    # +1 is Phi(1) and -1 is Phi(2): one stored form, sorted by d
     m = CyclotomicMultiset.from_counts({1: 4, 2: 8, 11: 1})
-    assert m.plus_ones == 4 and m.minus_ones == 8
-    assert m.blocks == ((11, 1),)
+    assert vars(m) == {"blocks": ((1, 4), (2, 8), (11, 1))}
+    assert CyclotomicMultiset.from_counts({11: 1, 2: 8, 1: 4, 22: 0}) == m
+    assert CyclotomicMultiset.units(plus=2, minus=3).blocks == ((1, 2), (2, 3))
+    assert CyclotomicMultiset.block(2, 3) == CyclotomicMultiset.units(minus=3)
     assert m.rank == 22 and m.trace == -5
     assert m.counts() == {1: 4, 2: 8, 11: 1}
+    assert m.as_literal() == "1*4, -1*8, Phi(11)"
     with pytest.raises(PatternError):
-        CyclotomicMultiset(plus_ones=-1)
+        CyclotomicMultiset.from_counts({1: -1})
     with pytest.raises(PatternError):
-        CyclotomicMultiset(blocks=((2, 1),))
+        CyclotomicMultiset.from_counts({0: 1})
+    with pytest.raises(PatternError):
+        CyclotomicMultiset(blocks=((0, 1),))
     with pytest.raises(PatternError):
         CyclotomicMultiset(blocks=((11, 0),))
     with pytest.raises(PatternError):
         CyclotomicMultiset(blocks=((11, 1), (5, 1)))
-
-
-def test_combine():
-    a = CyclotomicMultiset.units(plus=2)
-    b = CyclotomicMultiset.block(11).combine(CyclotomicMultiset.units(minus=3))
-    c = a + b
-    assert c.counts() == {1: 2, 2: 3, 11: 1}
-    assert c.rank == a.rank + b.rank
-    assert c.trace == a.trace + b.trace
 
 
 def test_power_against_numeric_eigenvalues():
@@ -229,11 +226,14 @@ def test_pattern_literals_round_trip():
     assert pattern.as_literal() == text
     assert parse_pattern(pattern.as_literal()) == pattern
 
-    m = parse_multiset("[1, -1, Phi(22)*2]")
+    def algebraic(items):
+        return parse_pattern(f"S: [{items}]; T: []").algebraic
+
+    m = algebraic("1, -1, Phi(22)*2")
     assert m.counts() == {1: 1, 2: 1, 22: 2}
-    assert parse_multiset(f"[{m.as_literal()}]") == m
-    assert parse_multiset("[]").rank == 0
-    assert parse_multiset("[Phi(1000000)]").rank == 400000  # MAX_BLOCK_ORDER
+    assert algebraic(m.as_literal()) == m
+    assert algebraic("").rank == 0
+    assert algebraic("Phi(1000000)").rank == 400000  # MAX_BLOCK_ORDER
 
 
 def test_pattern_literal_errors():

@@ -21,12 +21,13 @@ from helpers import (
     sympy_poly,
 )
 
-from k3auto import polyfield
+from k3auto import ellsurf, polyfield
 from k3auto.ellsurf import (
     WeierstrassModel,
     _classify,
     analyze_fibers,
     discriminant,
+    fiber_euler_number,
     flip_model,
 )
 from k3auto.errors import InvalidModelError
@@ -135,6 +136,26 @@ def test_flip_reverses_discriminant():
             at_origin = [valuation(p, origin)
                          for p in (flipped.a, flipped.b, discriminant(flipped))]
             assert analyze_fibers(m).fibers[-1] == _classify(Place(None), *at_origin)
+
+
+def test_fiber_euler_number_is_the_minimal_discriminant_valuation(monkeypatch):
+    rng = random.Random(109)
+    models = []
+    for _ in range(40):
+        m = random_model(rng, rng.choice(CONTEXTS), max_degree=5)
+        models += with_zero_coefficient_variants(m)
+        # a and b times g^4 and g^6 for a linear g: one (4, 6, 12)-step at g
+        g = Poly.make(m.context, [random_element(rng, m.context), m.context.one()])
+        models.append(WeierstrassModel(m.a * g ** 4, m.b * g ** 6))
+    calls = []
+    monkeypatch.setattr(ellsurf, "fiber_euler_number", calls.append)
+    fibers = [(f.kodaira_type, f.euler, f.minimalization_steps)
+              for m in models for f in analyze_fibers(m).fibers]
+    monkeypatch.undo()
+    assert calls == []
+    assert any(steps for _, _, steps in fibers)
+    for symbol, euler, _ in fibers:
+        assert euler == fiber_euler_number(symbol)
 
 
 def test_euler_bookkeeping_on_random_models():
