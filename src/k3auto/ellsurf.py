@@ -161,8 +161,7 @@ def j_map(model: WeierstrassModel) -> tuple[Poly, Poly]:
         return Poly.zero(model.context), Poly.constant(model.context, 1)
     g = poly_gcd(num, den)
     num, den = num // g, den // g
-    lc = den.leading_coefficient()
-    return num.scale(lc.inverse()), den.monic()
+    return num // den.leading_coefficient(), den.monic()
 
 
 def flip_model(model: WeierstrassModel) -> WeierstrassModel:
@@ -174,8 +173,7 @@ def flip_model(model: WeierstrassModel) -> WeierstrassModel:
     def reverse(p: Poly, length: int) -> Poly:
         if p.is_zero:
             return p
-        coeffs = [p.coefficient(i) for i in range(length + 1)]
-        return Poly(p.context, tuple(reversed(coeffs)))
+        return Poly.make(p.context, [p.coefficient(i) for i in range(length, -1, -1)])
 
     return WeierstrassModel(reverse(model.a, 4 * k), reverse(model.b, 6 * k))
 

@@ -10,6 +10,9 @@ Polynomial grammar (whitespace-insensitive):
 
 `t` is the variable, `w` the quadratic generator (w^2 = d, only valid in a
 quadratic context); any other NAME must be supplied through `bindings`.
+No subexpression may have a degree, and no exponent may be, above
+`MAX_DEGREE`; `t^k` is built as a monomial and a product with a constant
+factor as a scaling.
 
 Eigenvalue-pattern grammar:
 
@@ -39,6 +42,11 @@ _BindingValue = Union[FieldElement, int, Fraction]
 # Every open parenthesis is one level of parser recursion; the cap keeps the
 # deepest parse well inside Python's recursion limit.
 MAX_NESTING = 100
+
+# Largest degree of any subexpression of a polynomial, checked from the
+# degrees before a product or power is expanded.  An exponent is capped too,
+# whatever its base, so a constant's power cannot grow without bound.
+MAX_DEGREE = 150
 
 # Largest d in Phi(d): every d > 66 has phi(d) > 22, too large for a rank-22
 # pattern, and the cap bounds the totient's trial division at 10^3 steps.
@@ -133,8 +141,11 @@ class _PolyParser:
     def _term(self) -> Poly:
         p = self._unary()
         while self.lx.peek()[0] == "*":
-            self.lx.next()
-            p = p * self._unary()
+            pos = self.lx.next()[2]
+            q = self._unary()
+            if p.degree + q.degree > MAX_DEGREE:
+                raise ParseError(f"product exceeds the degree cap {MAX_DEGREE}", pos)
+            p = p * q if p.degree > 0 and q.degree > 0 else p.scale(q)
         return p
 
     def _unary(self) -> Poly:
@@ -150,7 +161,11 @@ class _PolyParser:
         while self.lx.peek()[0] == "^":
             self.lx.next()
             tok = self.lx.expect("INT")
-            p = p ** int(tok[1])
+            n, k = int(tok[1]), p.degree
+            if n * max(k, 1) > MAX_DEGREE:
+                raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", tok[2])
+            monomial = k >= 0 and p == Poly.monomial(self.context, k)
+            p = Poly.monomial(self.context, k * n) if monomial else p ** n
         return p
 
     def _atom(self) -> Poly:
@@ -178,7 +193,7 @@ class _PolyParser:
             if value == "w":
                 if not self.context.is_quadratic:
                     raise ParseError("'w' needs a quadratic context", pos)
-                return Poly.constant(self.context, self.context.generator())
+                return Poly(self.context, (0,), (1,))
             if value in self.bindings:
                 bound = self.bindings[value]
                 if not isinstance(bound, FieldElement):

@@ -1,26 +1,25 @@
 """Exact scalars and dense univariate polynomials over Q and Q(sqrt(d)).
 
-Scalars are rationals or elements x + y*sqrt(d) of a quadratic extension,
-stored with `fractions.Fraction` parts so every operation is exact.
-Polynomials are dense coefficient tuples (lowest degree first, no trailing
-zeros).  Squarefree structure is exposed through Yun decomposition and a
-gcd-free basis; irreducible factorization is deliberately avoided, places
-of the affine line are represented by monic squarefree generators instead.
-
-Most gcds the fiber analysis asks for are 1, and Euclid on Fraction
-coefficients pays for coefficient growth to find that out.  ``poly_gcd``
-therefore first reduces both inputs modulo one prime p of MODULAR_PRIMES
-(sending sqrt(d) to a square root of d mod p); when the images are coprime
-over F_p, so are the inputs, and the gcd is 1.  Otherwise Euclid runs as
-before.  The shortcut only ever returns the answer Euclid would return, so
-the result cannot depend on the prime: only the running time does.
+A polynomial is stored as integer vectors over one denominator,
+(xs + ys*w)/den with w^2 = d (FLINT's fmpq_poly layout), and its
+arithmetic runs on Python ints.  Scalars x + y*sqrt(d) with Fraction parts
+are the edge: they build polynomials and print their coefficients.
+Squarefree structure comes from Yun decomposition and a gcd-free basis;
+there is no irreducible factorization, places of the affine line are
+monic squarefree generators.  ``poly_gcd`` is a modular gcd (Encarnacion,
+J. Symbolic Comput. 20, 1995) whose every answer is proved exactly, with
+Euclid behind it, so no result depends on a prime.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import lru_cache, total_ordering
+from itertools import repeat, zip_longest
+from math import gcd, isqrt, lcm
+from typing import Iterable, Sequence
 
 from .errors import (
     ContextMismatchError,
@@ -28,24 +27,13 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-Rationalish = Union[int, Fraction]
-
-
 # Squarefreeness of d is checked by trial division up to sqrt(|d|), so |d|
 # is capped: at 10^10 the worst case (a prime) takes about 10^5 steps.
 MAX_ABS_D = 10 ** 10
 
 
 def _is_squarefree_int(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return n != 0 and all(n % (k * k) for k in range(2, isqrt(abs(n)) + 1))
 
 
 @dataclass(frozen=True)
@@ -70,9 +58,8 @@ class FieldContext:
     def is_quadratic(self) -> bool:
         return self.d is not None
 
-    def element(self, x: Rationalish, y: Rationalish = 0) -> "FieldElement":
-        x = Fraction(x)
-        y = Fraction(y)
+    def element(self, x: int | Fraction, y: int | Fraction = 0) -> "FieldElement":
+        x, y = Fraction(x), Fraction(y)
         if y and not self.is_quadratic:
             raise ValueError("rational context has no sqrt generator")
         return FieldElement(self, x, y)
@@ -98,22 +85,22 @@ RATIONALS = FieldContext()
 
 @dataclass(frozen=True)
 class FieldElement:
-    """x + y*sqrt(d), exact.  y stays 0 in a rational context."""
+    """x + y*sqrt(d), exact.  y stays 0 in a rational context.  An element
+    is the Fraction view of a constant polynomial, and its arithmetic is
+    the polynomial kernel's on constants."""
 
     context: FieldContext
     x: Fraction
     y: Fraction = Fraction(0)
 
-    def _coerce(self, other) -> "FieldElement":
+    def _apply(self, op, other, reflected: bool = False):
         if isinstance(other, FieldElement):
             if other.context != self.context:
-                raise ContextMismatchError(
-                    f"mixed contexts {self.context} and {other.context}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.context.element(other)
-        return NotImplemented  # type: ignore[return-value]
+                raise ContextMismatchError(f"mixed contexts {self.context} and {other.context}")
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        a, b = Poly.constant(self.context, self), Poly.constant(self.context, other)
+        return (op(b, a) if reflected else op(a, b)).coefficient(0)
 
     @property
     def is_zero(self) -> bool:
@@ -123,70 +110,30 @@ class FieldElement:
         return not self.is_zero
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.context, self.x + o.x, self.y + o.y)
+        return self._apply(operator.add, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FieldElement(self.context, -self.x, -self.y)
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.context, self.x - o.x, self.y - o.y)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+        return self._apply(operator.sub, other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not self.y and not o.y:
-            return FieldElement(self.context, self.x * o.x)
-        d = self.context.d or 0
-        return FieldElement(
-            self.context,
-            self.x * o.x + d * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-        )
+        return self._apply(operator.mul, other)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FieldElement":
-        return FieldElement(self.context, self.x, -self.y)
+    def __truediv__(self, other):
+        return self._apply(operator.floordiv, other)
+
+    def __rtruediv__(self, other):
+        return self._apply(operator.floordiv, other, reflected=True)
 
     def norm(self) -> Fraction:
         """Field norm x^2 - d*y^2 (equals x^2 in the rational case)."""
-        d = self.context.d or 0
-        return self.x * self.x - d * self.y * self.y
+        return self.x * self.x - (self.context.d or 0) * self.y * self.y
 
     def inverse(self) -> "FieldElement":
-        n = self.norm()
-        if not n:
-            # with d squarefree non-square, norm vanishes only at zero
-            raise ZeroDivisionError("element is not invertible")
-        conj = self.conjugate()
-        return FieldElement(self.context, conj.x / n, conj.y / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
+        return 1 / self
 
     def sort_key(self):
         return (self.x, self.y)
@@ -194,22 +141,16 @@ class FieldElement:
     def __str__(self) -> str:
         if not self.y:
             return str(self.x)
-        if self.y == 1:
-            w = "w"
-        elif self.y == -1:
-            w = "-w"
-        else:
-            w = f"{self.y}*w"
+        w = "w" if abs(self.y) == 1 else f"{abs(self.y)}*w"
         if not self.x:
-            return w
-        sign = " + " if self.y > 0 else " - "
-        mag = w.lstrip("-")
-        return f"({self.x}{sign}{mag})"
+            return w if self.y > 0 else f"-{w}"
+        return f"({self.x} {'+' if self.y > 0 else '-'} {w})"
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
 
 
+@total_ordering
 class _Omega:
     """Valuation of the zero polynomial: compares above every integer."""
 
@@ -220,25 +161,13 @@ class _Omega:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __ge__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return not isinstance(other, _Omega)
-
-    def __le__(self, other):
-        return isinstance(other, _Omega)
-
     def __lt__(self, other):
         return False
 
     def __add__(self, other):
         return self
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self
+    __radd__ = __sub__ = __add__
 
     def __repr__(self):
         return "OMEGA"
@@ -249,37 +178,42 @@ OMEGA = _Omega()
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial in t over a FieldContext."""
+    """Dense polynomial in t over a FieldContext: coefficient k is
+    (xs[k] + ys[k]*w)/den.  The form is normal, so equal polynomials have
+    equal fields: no trailing zero pair, ys empty when no coefficient has a
+    w part (always over Q) and else as long as xs, den > 0 and coprime to
+    the entries.  Arithmetic runs on these ints; a coefficient becomes a
+    FieldElement only on request (``coefficient``, ``sort_key``, ``str``)."""
 
     context: FieldContext
-    coefficients: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        coeffs = list(self.coefficients)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    xs: tuple[int, ...]
+    ys: tuple[int, ...] = ()
+    den: int = 1
 
     @classmethod
     def make(cls, context: FieldContext, coeffs: Iterable) -> "Poly":
         """Build from a low-to-high iterable of elements / ints / Fractions."""
-        out = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.context != context:
-                    raise ContextMismatchError("coefficient from another context")
-                out.append(c)
-            else:
-                out.append(context.element(c))
-        return cls(context, tuple(out))
+        cs = [c if isinstance(c, FieldElement) else context.element(c) for c in coeffs]
+        if any(c.context != context for c in cs):
+            raise ContextMismatchError("coefficient from another context")
+        den = lcm(*(q.denominator for c in cs for q in (c.x, c.y)))
+        return _poly(context, [c.x.numerator * den // c.x.denominator for c in cs],
+                     [c.y.numerator * den // c.y.denominator for c in cs], den)
 
     @classmethod
     def constant(cls, context: FieldContext, value) -> "Poly":
+        if isinstance(value, (int, Fraction)):
+            return _poly(context, [value.numerator], [], value.denominator)
         return cls.make(context, [value])
 
     @classmethod
+    def monomial(cls, context: FieldContext, k: int) -> "Poly":
+        """t^k."""
+        return cls(context, (0,) * k + (1,))
+
+    @classmethod
     def variable(cls, context: FieldContext) -> "Poly":
-        return cls.make(context, [0, 1])
+        return cls.monomial(context, 1)
 
     @classmethod
     def zero(cls, context: FieldContext) -> "Poly":
@@ -287,26 +221,31 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.xs
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.xs) - 1
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coefficients) <= 1
+        return len(self.xs) <= 1
+
+    @property
+    def coefficients(self) -> tuple[FieldElement, ...]:
+        return tuple(self.coefficient(k) for k in range(len(self.xs)))
 
     def leading_coefficient(self) -> FieldElement:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> FieldElement:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return self.context.zero()
+        if not 0 <= k < len(self.xs):
+            return self.context.zero()
+        y = self.ys[k] if self.ys else 0
+        return FieldElement(self.context, Fraction(self.xs[k], self.den), Fraction(y, self.den))
 
     def _check(self, other: "Poly") -> "Poly":
         if isinstance(other, Poly):
@@ -314,23 +253,22 @@ class Poly:
                 raise ContextMismatchError("mixed polynomial contexts")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
-            return Poly.make(self.context, [other])
+            return Poly.constant(self.context, other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coefficients), len(o.coefficients))
-        return Poly(
-            self.context,
-            tuple(self.coefficient(i) + o.coefficient(i) for i in range(n)),
-        )
+        s, u = o.den // gcd(self.den, o.den), self.den // gcd(self.den, o.den)
+        xs, ys = (zip_longest(a, b, fillvalue=0) for a, b in ((self.xs, o.xs), (self.ys, o.ys)))
+        return _poly(self.context, [s * a + u * b for a, b in xs],
+                     [s * a + u * b for a, b in ys], s * self.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.context, tuple(-c for c in self.coefficients))
+        return Poly(self.context, tuple(-x for x in self.xs), tuple(-y for y in self.ys), self.den)
 
     def __sub__(self, other):
         o = self._check(other)
@@ -338,39 +276,23 @@ class Poly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly.zero(self.context)
-        zero = self.context.zero()
-        out = [zero] * (len(self.coefficients) + len(o.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.context, tuple(out))
+        return _product(self, o)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if not isinstance(c, FieldElement):
-            c = self.context.element(c)
-        return Poly(self.context, tuple(x * c for x in self.coefficients))
+        """self times c: an element, int, Fraction or constant Poly."""
+        return _product(self, self._check(c))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
         if n == 0:
-            return Poly.constant(self.context, 1)
+            return Poly.monomial(self.context, 0)
         # square-and-multiply without a product by 1 or a square after the top bit
         result = None
         base = self
@@ -383,30 +305,45 @@ class Poly:
             base = base * base
 
     def __divmod__(self, other):
+        """Division by m = other/lc, whose leading entry is its den L: keeps
+        scale*self = quotient*m + remainder on the integer vectors, scaling
+        all three by L/gcd(top, L) when a top entry is not a multiple of L."""
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d = o.degree
-        if self.degree < d:
+        n, m = o.degree, o.monic()
+        if self.degree < n:
             return Poly.zero(self.context), self
-        zero = self.context.zero()
-        rem = list(self.coefficients)
-        inv = o.leading_coefficient().inverse()
-        body = o.coefficients[:-1]
-        quot = [zero] * (len(rem) - d)
-        for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if c.is_zero:
+        lead, d, bx, by = m.den, self.context.d or 0, m.xs[:-1], m.ys[:-1]
+        rx, ry = list(self.xs), list(self.ys) or ([0] * len(self.xs) if by else [])
+        qx, qy, scale = [0] * (len(rx) - n), [0] * (len(rx) - n) if ry else [], 1
+        for top in range(len(rx) - 1, n - 1, -1):
+            cx, cy = rx[top], ry[top] if ry else 0
+            if not cx and not cy:
                 continue
-            factor = c * inv
-            quot[top - d] = factor
-            shift = top - d
-            for i, oc in enumerate(body):
-                if not oc.is_zero:
-                    rem[shift + i] = rem[shift + i] - factor * oc
-        return Poly(self.context, tuple(quot)), Poly(self.context, tuple(rem[:d]))
+            g = gcd(cx, cy, lead)
+            if g != lead:
+                s = lead // g
+                rx, ry, qx, qy = ([s * v for v in vec] for vec in (rx, ry, qx, qy))
+                scale *= s
+            fx, fy = cx // g, cy // g
+            qx[top - n] = fx
+            for i, b in enumerate(bx, top - n):
+                rx[i] -= fx * b
+            if ry:
+                qy[top - n] = fy
+                for i, b in enumerate(bx, top - n):
+                    ry[i] -= fy * b
+                for i, b in enumerate(by, top - n):
+                    rx[i] -= d * fy * b
+                    ry[i] -= fx * b
+        den = scale * self.den
+        quotient = _poly(self.context, [lead * v for v in qx], [lead * v for v in qy], den)
+        if m is not o:
+            quotient = _product(quotient, o._inverse_lc())
+        return quotient, _poly(self.context, rx[:n], ry[:n], den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -417,23 +354,22 @@ class Poly:
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero
 
+    def _inverse_lc(self) -> "Poly":
+        """1/lc = den*(x - y*w)/(x^2 - d*y^2) for lc = (x + y*w)/den."""
+        x, y = self.xs[-1], self.ys[-1] if self.ys else 0
+        return _poly(self.context, [self.den * x], [-self.den * y],
+                     x * x - (self.context.d or 0) * y * y)
+
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient()
-        if lc == self.context.one():
+        if self.xs[-1] == self.den and not (self.ys and self.ys[-1]):
             return self
-        return self.scale(lc.inverse())
+        return _product(self, self._inverse_lc())
 
     def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly.zero(self.context)
-        return Poly(
-            self.context,
-            tuple(
-                self.coefficients[i] * i for i in range(1, len(self.coefficients))
-            ),
-        )
+        return _poly(self.context, [i * x for i, x in enumerate(self.xs)][1:],
+                     [i * y for i, y in enumerate(self.ys)][1:], self.den)
 
     def evaluate(self, value: FieldElement) -> FieldElement:
         acc = self.context.zero()
@@ -448,26 +384,17 @@ class Poly:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        one = self.context.one()
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c.is_zero:
+            x, y = self.xs[k], self.ys[k] if self.ys else 0
+            if not x and not y:
                 continue
-            if k == 0:
-                var = ""
-            elif k == 1:
-                var = "t"
-            else:
-                var = f"t^{k}"
+            var = "" if k == 0 else "t" if k == 1 else f"t^{k}"
             if not var:
-                body = str(c)
-                negative = False
-            elif c == one:
-                body, negative = var, False
-            elif c == -one:
-                body, negative = var, True
+                body, negative = str(self.coefficient(k)), False
+            elif not y and abs(x) == self.den:  # the coefficient is 1 or -1
+                body, negative = var, x < 0
             else:
-                s = str(c)
+                s = str(self.coefficient(k))
                 negative = s.startswith("-")
                 body = f"{s.lstrip('-')}*{var}" if not s.startswith("(") else f"{s}*{var}"
             if not parts:
@@ -482,96 +409,173 @@ class Poly:
         return f"Poly({self})"
 
 
-# Primes p = 3 mod 4 just below 2^62, largest first.  p = 3 mod 4 makes
-# d^((p+1)/4) a square root of d whenever d is a square mod p.  Written out
-# so that importing the module searches for nothing.
-MODULAR_PRIMES = (
-    4611686018427387847, 4611686018427387787, 4611686018427387751,
-    4611686018427387631, 4611686018427387587, 4611686018427387323,
-    4611686018427387271, 4611686018427387139, 4611686018427387131,
-    4611686018427387127, 4611686018427387091, 4611686018427386923,
-    4611686018427386911, 4611686018427386903, 4611686018427386887,
-    4611686018427386707,
-)
+def _poly(context: FieldContext, xs: list[int], ys: list[int], den: int) -> Poly:
+    """(xs + ys*w)/den in normal form, from fresh lists and den != 0."""
+    if any(ys):
+        xs += [0] * (len(ys) - len(xs))
+        ys += [0] * (len(xs) - len(ys))
+        while not xs[-1] and not ys[-1]:
+            del xs[-1], ys[-1]
+    else:
+        ys = []
+        while xs and not xs[-1]:
+            xs.pop()
+        if not xs:
+            return Poly(context, ())
+    g = gcd(den, *xs, *ys) * (1 if den > 0 else -1)
+    if g != 1:
+        xs, ys, den = [x // g for x in xs], [y // g for y in ys], den // g
+    return Poly(context, tuple(xs), tuple(ys), den)
 
 
-def _reduce_mod(p: Poly, prime: int, root: int) -> list[int] | None:
-    """Image of p in F_prime[t] under sqrt(d) -> root, lowest degree first;
-    None when prime divides a denominator or the leading coefficient maps
-    to 0."""
-    image = []
-    for c in p.coefficients:
-        value = 0
-        for q, scale in ((c.x, 1), (c.y, root)):
-            if q:
-                if q.denominator % prime == 0:
-                    return None
-                value += q.numerator * scale * pow(q.denominator, -1, prime)
-        image.append(value % prime)
-    return image if image[-1] else None
+def _product(p: Poly, q: Poly) -> Poly:
+    """p*q with w^2 = d by Kronecker substitution: each vector becomes its
+    value at t = 2^(8*size), 2^(8*size-1) being above every entry of the
+    product, the parts are combined as integers, and their base-2^(8*size)
+    digits, read through bytes offset to be nonnegative, are the result."""
+    if not p.xs or not q.xs:
+        return Poly(p.context, ())
+    d = p.context.d or 0
+    if len(q.xs) == 1 or len(p.xs) == 1:  # a constant times a vector, entry by entry
+        c, v = (q, p) if len(q.xs) == 1 else (p, q)
+        cx, cy, pairs = c.xs[0], c.ys[0] if c.ys else 0, list(zip(v.xs, v.ys or repeat(0)))
+        return _poly(p.context, [cx * x + d * cy * y for x, y in pairs],
+                     [cy * x + cx * y for x, y in pairs], p.den * q.den)
+    size = (max(map(abs, p.xs + p.ys)) * max(map(abs, q.xs + q.ys))
+            * min(len(p.xs), len(q.xs)) * (1 + abs(d))).bit_length() // 8 + 1
+    half, n = 1 << (8 * size - 1), len(p.xs) + len(q.xs) - 1
+    step = half.to_bytes(size, "little")
+
+    def pack(v):
+        data = b"".join((c + half).to_bytes(size, "little") for c in v)
+        return int.from_bytes(data, "little") - int.from_bytes(step * len(v), "little")
+
+    def unpack(x):
+        data = (x + int.from_bytes(step * n, "little")).to_bytes(n * size, "little")
+        return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, n * size, size)]
+
+    px, py, qx, qy = pack(p.xs), pack(p.ys), pack(q.xs), pack(q.ys)
+    ys = unpack(px * qy + py * qx) if p.ys or q.ys else []
+    return _poly(p.context, unpack(px * qx + d * py * qy), ys, p.den * q.den)
 
 
-def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
-    """Whether gcd(a, b) = 1 in F_prime[t], for nonzero a and b given lowest
-    degree first without leading zeros."""
-    while len(b) > 1:
-        n = len(b) - 1
-        inv = pow(b[-1], -1, prime)
-        r = list(a)
+# The 16 largest primes p = 3 mod 4 below 2^62, largest first: p = 3 mod 4
+# makes d^((p+1)/4) a square root of d whenever d is a square mod p.  Written
+# out so that importing the module searches for nothing.
+MODULAR_PRIMES = tuple(2**62 - k for k in (57, 117, 153, 273, 317, 581, 633, 765, 773,
+                                           777, 813, 981, 993, 1001, 1017, 1197))
+
+
+@lru_cache(maxsize=1024)
+def _square_roots_mod(d: int, prime: int) -> tuple[int, ...]:
+    """Square roots of d modulo a prime = 3 mod 4; none if d is no nonzero square."""
+    r = pow(d, (prime + 1) // 4, prime)
+    return (r, prime - r) if d % prime and r * r % prime == d % prime else ()
+
+
+def _image(p: Poly, prime: int, root: int) -> list[int] | None:
+    """Image of den*p in F_prime[t] under w -> root, lowest degree first;
+    None when prime divides den or the leading coefficient maps to 0."""
+    image = [(x + y * root) % prime for x, y in zip(p.xs, p.ys or repeat(0))]
+    return image if image[-1] and p.den % prime else None
+
+
+def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
+    """Monic gcd in F_prime[t] of nonzero a, b (low degree first, no leading zeros)."""
+    while b:
+        n, inv, r = len(b) - 1, pow(b[-1], -1, prime), list(a)
         for top in range(len(r) - 1, n - 1, -1):
-            c = r[top] * inv % prime
+            c = r[top] % prime * inv % prime
             if c:
-                shift = top - n
-                for i in range(n):
-                    r[shift + i] = (r[shift + i] - c * b[i]) % prime
-        del r[n:]
+                for i, v in enumerate(b[:n], top - n):
+                    r[i] -= c * v
+        r = [v % prime for v in r[:n]]
         while r and not r[-1]:
             r.pop()
         a, b = b, r
-    return len(b) == 1
+    inv = pow(a[-1], -1, prime)
+    return [c * inv % prime for c in a]
 
 
-def _coprime_modulo_a_prime(p: Poly, q: Poly) -> bool:
-    """True when the images of p and q modulo the first usable prime of
-    MODULAR_PRIMES are coprime.  A prime is usable when d is a nonzero
-    square mod p (in a quadratic field), p divides no denominator and both
-    leading coefficients survive.  False also when no prime is usable."""
-    d = p.context.d
+def _reconstruct(context: FieldContext, residues: list[int], modulus: int) -> Poly | None:
+    """The polynomial whose xs then ys, over one denominator, are congruent
+    to residues: each residue times the denominator so far is lifted to
+    the n/e with |n|, e <= sqrt(modulus/2) (Wang, Guy and Davenport,
+    SIGSAM Bull. 16, 1982), or None is returned when there is none."""
+    bound, nums, den = isqrt(modulus // 2), [], 1
+    for u in residues:
+        r0, r1, s0, s1 = modulus, u * den % modulus, 0, 1
+        while r1 > bound:
+            quo = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        nums = [v * abs(s1) for v in nums] + [r1 if s1 > 0 else -r1]
+        den *= abs(s1)
+    half = len(nums) // 2 if context.is_quadratic else len(nums)
+    return _poly(context, nums[:half], nums[half:], den)
+
+
+def _modular_gcd(p: Poly, q: Poly) -> Poly | None:
+    """Monic gcd of nonconstant p and q from their images modulo
+    MODULAR_PRIMES, or None when the primes run out first.
+
+    A prime l is usable when d is a nonzero square r^2 mod l, l divides no
+    denominator and both leading coefficients survive w -> r.  Then the
+    image gcd has degree >= deg gcd(p, q) (subresultants map to those of
+    the images), so an image gcd of 1 proves the inputs coprime.  Else the
+    gcds under w -> r and w -> -r, when of one degree, give the x and y
+    parts of gcd(p, q) mod l; those of the lowest degree seen are combined
+    by Chinese remaindering and lifted to a candidate, kept only if it
+    divides p and q: then deg candidate <= deg gcd <= deg image, and the
+    monic candidate of the image's degree is the gcd."""
+    d, modulus, residues, degree = p.context.d, 1, [], len(p.xs) + 1
     for prime in MODULAR_PRIMES:
-        root = 0
+        roots, images = (0,) if d is None else _square_roots_mod(d, prime), []
+        for r in roots:
+            a, b = _image(p, prime, r), _image(q, prime, r)
+            if a is None or b is None:
+                break
+            images.append(_gcd_mod(a, b, prime))
+            if len(images[-1]) == 1:
+                return Poly.monomial(p.context, 0)
+        sizes = {len(g) for g in images}
+        if not images or len(images) < len(roots) or len(sizes) > 1 or min(sizes) > degree:
+            continue
+        if min(sizes) < degree:
+            modulus, residues, degree = 1, [0] * (len(images[0]) * len(images)), min(sizes)
         if d is not None:
-            root = pow(d, (prime + 1) // 4, prime)
-            if d % prime == 0 or root * root % prime != d % prime:
-                continue
-        a = _reduce_mod(p, prime, root)
-        b = _reduce_mod(q, prime, root)
-        if a is not None and b is not None:
-            return _coprime_mod(a, b, prime)
-    return False
+            half, inv = (prime + 1) // 2, pow(2 * roots[0], -1, prime)
+            images = [[(u + v) * half for u, v in zip(*images)],
+                      [(u - v) * inv for u, v in zip(*images)]]
+        c = pow(modulus, -1, prime)
+        residues = [u + modulus * ((v - u) * c % prime)
+                    for u, v in zip(residues, [v for image in images for v in image])]
+        modulus *= prime
+        candidate = _reconstruct(p.context, residues, modulus)
+        if candidate is not None and (p % candidate).is_zero and (q % candidate).is_zero:
+            return candidate
+    return None
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(p, 0) is monic p.
-
-    Two nonconstant inputs are first mapped to F_l[t] for the first usable
-    prime l of MODULAR_PRIMES, sqrt(d) going to a square root of d mod l.
-    If the images are coprime, so are p and q, and the gcd is 1: both
-    leading coefficients survive, so the Sylvester matrix of the images is
-    the image of that of p and q, and the resultant of the images, nonzero
-    because they are coprime, is the image of Res(p, q), which is therefore
-    nonzero.  In every other case Euclid decides, so the answer never
-    depends on the prime.
-    """
+    """Monic gcd; gcd(p, 0) is monic p.  ``_modular_gcd`` decides for two
+    nonconstant inputs when its primes do, and Euclid on the integer
+    vectors otherwise, so the answer never depends on the primes."""
     if p.context != q.context:
         raise ContextMismatchError("mixed polynomial contexts")
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    if not p.is_constant and not q.is_constant and _coprime_modulo_a_prime(p, q):
-        return Poly.constant(p.context, 1)
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).monic()
+    if p.is_constant or q.is_constant:
+        return Poly.monomial(p.context, 0)
+    g = _modular_gcd(p, q)
+    if g is not None:
+        return g
+    while not q.is_zero:
+        p, q = q, p % q
+    return p.monic()
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -613,17 +617,12 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
     """Gcd-free basis of nonzero polynomials, plus the exponent matrix.
 
     The generators are monic, squarefree, nonconstant and pairwise coprime
-    by construction (Yun's factors are monic, and so are exact quotients of
-    monic polynomials), so nothing checks them again.  Every input equals
-    its leading coefficient times the product of basis elements raised to
-    the matching exponent row, and distinct roots of one basis element
-    cannot be told apart by valuations of the inputs.
-
-    Each generator carries its exponent row (one entry per input) through
-    the refinement, so no exponent is found by division.  When a Yun factor
-    f of multiplicity m of input i meets a generator b, g = gcd(f, b) gets
-    b's row plus m in column i, the cofactor b/g keeps b's row, and what is
-    left of f after every generator becomes a new one with m in column i.
+    by construction, so nothing checks them again.  Every input is its
+    leading coefficient times the product of the generators raised to its
+    exponent row.  Each generator carries its row through the refinement:
+    when a Yun factor f of multiplicity m of input i meets a generator b,
+    g = gcd(f, b) gets b's row plus m in column i, the cofactor b/g keeps
+    b's row, and what is left of f becomes a new one with m in column i.
     """
     if not polys:
         raise ZeroPolynomialError("empty input list")
@@ -668,9 +667,9 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
 class Place:
     """A closed point of the affine line, given by its monic squarefree
     generator, or the place at infinity (generator None); the generator's
-    degree counts geometric points.  A plain record: the fiber analysis
-    takes its places from ``gcdfree_basis``, and ``valuation`` checks a
-    place a caller passes in."""
+    degree counts geometric points.  A plain record: ``valuation`` checks
+    a place a caller passes in, the fiber analysis takes its places from
+    ``gcdfree_basis``."""
 
     generator: Poly | None
 
@@ -698,7 +697,7 @@ def valuation(p: Poly, place: Place):
         raise InvalidPlaceError("valuation at infinity is handled by the surface layer")
     if g.is_constant:
         raise InvalidPlaceError("finite place needs degree >= 1")
-    if g.leading_coefficient() != g.context.one():
+    if g.monic() != g:
         raise InvalidPlaceError("finite place generator must be monic")
     if not is_squarefree(g):
         raise InvalidPlaceError("finite place generator must be squarefree")

@@ -112,9 +112,8 @@ def _summary(analysis: FiberAnalysis) -> dict:
 
 
 def _exponent_support_mod(p: Poly, modulus: int) -> list[int]:
-    return sorted({
-        i % modulus for i, c in enumerate(p.coefficients) if not c.is_zero
-    })
+    ys = p.ys or (0,) * len(p.xs)
+    return sorted({i % modulus for i, (x, y) in enumerate(zip(p.xs, ys)) if x or y})
 
 
 def _scenario_example1() -> ScenarioResult:

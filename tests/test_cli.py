@@ -399,6 +399,12 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     pytest.param(["lattice", "(" * 3000 + "U" + ")" * 3000], id="lattice-nesting"),
     pytest.param(["surface", "analyze", "--a", "(" * 3000 + "t" + ")" * 3000, "--b", "1"],
                  id="poly-nesting"),
+    # over parsing.MAX_DEGREE, checked from the degrees before expanding
+    pytest.param(["surface", "analyze", "--a", "0", "--b", "t^100000000"], id="power"),
+    pytest.param(["surface", "analyze", "--a", "0", "--b", "(t^1000)^1000"],
+                 id="nested-power"),
+    pytest.param(["surface", "analyze", "--a", "0", "--b", "(t+1)^3000*(t+1)^3000"],
+                 id="product-of-powers"),
 ])
 def test_oversized_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -5,13 +5,20 @@ against sympy as an independent implementation before being asserted.
 """
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import CONTEXTS, random_nonzero_poly, sympy_domain, sympy_poly
+from helpers import (
+    CONTEXTS,
+    load_workloads,
+    random_nonzero_poly,
+    sympy_domain,
+    sympy_poly,
+)
 
-from k3auto import polyfield
+from k3auto import parsing, polyfield
 from k3auto.errors import (
     ContextMismatchError,
     InvalidPlaceError,
@@ -157,9 +164,27 @@ def _euclid(p, q):
     return a.monic()
 
 
-def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs():
+def _spy_image_gcds(monkeypatch, primes=None):
+    """The (prime, image gcd) pairs poly_gcd computes, appended as it runs;
+    with primes given, the module's prime list is replaced by them."""
+    calls = []
+    gcd_mod = polyfield._gcd_mod
+
+    def spy(a, b, prime):
+        image = gcd_mod(a, b, prime)
+        calls.append((prime, image))
+        return image
+
+    if primes is not None:
+        monkeypatch.setattr(polyfield, "MODULAR_PRIMES", primes)
+    monkeypatch.setattr(polyfield, "_gcd_mod", spy)
+    return calls
+
+
+def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
     # half of the pairs share a random factor; the other half are almost
-    # always coprime, which the modular certificate settles
+    # always coprime, which the first image gcd settles
+    images = _spy_image_gcds(monkeypatch)
     rng = random.Random(2024)
     certified = 0
     for context in CONTEXTS:
@@ -169,13 +194,50 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs():
             if i % 2:
                 common = random_nonzero_poly(rng, context, max_degree=3)
                 p, q = p * common, q * common
+            images.clear()
             g = poly_gcd(p, q)
             assert g == _euclid(p, q), (p, q)
             expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
             assert sympy_poly(g, domain) == expected, (p, q)
-            if not p.is_constant and not q.is_constant:
-                certified += polyfield._coprime_modulo_a_prime(p, q)
+            certified += [image for _, image in images[:1]] == [[1]]
     assert certified >= 24
+    # shared factors with 64-bit coefficients and a w part need several
+    # primes; at 400 bits the usable primes run out and Euclid decides
+    for context in (QW3, FieldContext(d=5)):
+        domain = sympy_domain(context)
+        usable = sum(pow(context.d, (l - 1) // 2, l) == 1 for l in polyfield.MODULAR_PRIMES)
+        for bits, primes in ((64, range(3, usable)), (400, [usable])):
+            def big():
+                return rng.getrandbits(bits) - 2 ** (bits - 1)
+            common = Poly.make(context, [context.element(big(), big()) for _ in range(3)])
+            p, q = (random_nonzero_poly(rng, context, max_degree=4) * common
+                    for _ in range(2))
+            images.clear()
+            g = poly_gcd(p, q)
+            assert g == _euclid(p, q), (p, q)
+            assert common.monic().divides(g) and g.ys
+            expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
+            assert sympy_poly(g, domain) == expected, (p, q)
+            assert len({prime for prime, _ in images}) in primes, bits
+
+
+@pytest.mark.parametrize("d, primes", [(None, (103, 107, 127)), (-3, (103, 107, 127)),
+                                       (5, (139, 179, 199))])
+def test_unlucky_prime_is_outvoted(monkeypatch, d, primes):
+    # modulo the first prime l, t + l and t + 2l both map to t, so the image
+    # gcd t^2 * (shared) has degree 3, one above the gcd; its lift divides
+    # neither input, and the next usable prime, of degree 2, starts the
+    # residues afresh
+    context = FieldContext(d=d)
+    shared = "t - w" if d else "t - 1"
+    p, q = (parse_poly(f"t * ({shared}) * (t + {k * primes[0]})", context) for k in (1, 2))
+    images = _spy_image_gcds(monkeypatch, primes)
+    g = poly_gcd(p, q)
+    assert g == _euclid(p, q) == parse_poly(f"t * ({shared})", context)
+    domain = sympy_domain(context)
+    assert sympy_poly(g, domain) == sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
+    assert [len(image) - 1 for prime, image in images if prime == primes[0]][0] == 3
+    assert len(images[-1][1]) - 1 == 2
 
 
 def test_modular_primes_are_primes_3_mod_4():
@@ -186,20 +248,13 @@ def test_modular_primes_are_primes_3_mod_4():
 
 
 def _prime_used(monkeypatch, primes, p, q):
-    """(gcd, prime whose image decided coprimality or None) with the
+    """(gcd, the one prime whose images were computed, or None) with the
     module's prime list replaced by primes."""
-    used = []
-    coprime_mod = polyfield._coprime_mod
-
-    def spy(a, b, prime):
-        used.append(prime)
-        return coprime_mod(a, b, prime)
-
-    monkeypatch.setattr(polyfield, "MODULAR_PRIMES", primes)
-    monkeypatch.setattr(polyfield, "_coprime_mod", spy)
+    images = _spy_image_gcds(monkeypatch, primes)
     g = poly_gcd(p, q)
+    used = {prime for prime, _ in images}
     assert len(used) <= 1
-    return g, (used[0] if used else None)
+    return g, (used.pop() if used else None)
 
 
 def test_certificate_skips_prime_dividing_a_denominator(monkeypatch):
@@ -408,11 +463,58 @@ def test_parse_poly_error_positions():
         parse_poly("(t + 1", Q)
     with pytest.raises(ParseError):
         parse_poly("1/0 + t", Q)
+    # MAX_DEGREE caps every exponent and every product's degree: the error
+    # points at the exponent or at the '*'
+    cap = parsing.MAX_DEGREE
+    for text, position in ((f"1 + t^{cap + 1}", 6), (f"2^{cap + 1}", 2),
+                           (f"(t^2 + 1)^{cap // 2 + 1}", 10),
+                           (f"t^{cap} * t", len(f"t^{cap} "))):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, Q)
+        assert err.value.position == position, text
+    assert parse_poly(f"t^{cap - 1} * t", Q) == Poly.monomial(Q, cap)
     # INT and NAME are ASCII only: other digits and letters are not tokens
     for text, position in (("t^²", 2), ("t + ١٠", 4), ("tµ", 1), ("x²", 1)):
         with pytest.raises(ParseError) as err:
             parse_poly(text, Q)
         assert err.value.position == position, text
+
+
+def _fibers_batch_texts():
+    """The (text, context) pairs the benchmark's fibers-batch ops parse."""
+    texts = []
+
+    class Parsed(Exception):
+        pass
+
+    def record(text, context):
+        texts.append((text, context))
+
+    def stop(a, b):
+        raise Parsed
+
+    k3 = types.SimpleNamespace(polyfield=polyfield,
+                               parsing=types.SimpleNamespace(parse_poly=record),
+                               ellsurf=types.SimpleNamespace(WeierstrassModel=stop))
+    for op in load_workloads().fibers_batch(k3, 1).ops:
+        with pytest.raises(Parsed):
+            op.run()
+    return texts
+
+
+def test_parsing_builds_monomials_and_scalings(monkeypatch):
+    # t^k is a monomial and c*t^k a scaling: parsing the fibers-batch
+    # corpus makes no Poly product or power
+    texts = _fibers_batch_texts()
+    assert len(texts) == 96
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        method = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda self, other, name=name, method=method:
+                            calls.append(name) or method(self, other))
+    for text, context in texts:
+        parse_poly(text, context)
+    assert calls == []
 
 
 def test_poly_str_reparses():

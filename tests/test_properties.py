@@ -197,6 +197,23 @@ def test_basis_places_are_not_checked_again(monkeypatch):
             analyze_fibers(variant)  # raises at the first check of a place
 
 
+def test_fiber_analysis_runs_without_scalar_arithmetic(monkeypatch):
+    # polynomials are integer vectors: analysing a model, nontrivial gcds
+    # and its report included, never multiplies, adds or inverts a
+    # FieldElement
+    def refuse(*_args):
+        raise AssertionError("FieldElement arithmetic")
+
+    rng = random.Random(110)
+    models = [variant for _ in range(30)
+              for variant in with_zero_coefficient_variants(
+                  random_model(rng, rng.choice(CONTEXTS), max_degree=6))]
+    reports = [analyze_fibers(m).as_report() for m in models]
+    for name in ("__mul__", "__add__", "inverse"):
+        monkeypatch.setattr(polyfield.FieldElement, name, refuse)
+    assert [analyze_fibers(m).as_report() for m in models] == reports
+
+
 def _sympy_valuation(p, factor):
     if p.is_zero:
         return OMEGA
