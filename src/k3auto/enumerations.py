@@ -38,6 +38,13 @@ RULE_NEGATIVE_FINITE = "negative-lefschetz-finite-locus"
 RULE_LEFSCHETZ = "lefschetz-mismatch"
 RULE_WEIGHTS = "fixed-curve-weight-check"
 
+# enumeration budget of fiber_orbit_configs; each cap is a usage error
+MAX_ORBIT_BUDGET = 3000  # total_euler // orbit_size
+MAX_ORBIT_TABLE = 200_000  # entries of the completion-count table
+# configurations, each weighted by its orbit budget (at least 1), counted
+# before any is built: a configuration lists at most budget orbit types
+MAX_ORBIT_OUTPUT = 2_000_000
+
 
 @dataclass(frozen=True)
 class RankDetCase:
@@ -141,23 +148,46 @@ class OrbitConfig:
         )
 
 
-def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int) -> list[tuple]:
-    """All multisets over pool, sorted distinct (Euler number, symbol) keys,
-    whose Euler numbers sum to exactly budget.  An explicit stack, not
-    recursion: a multiset can hold up to budget keys."""
-    out: list[tuple] = []
-    # (next pool index, budget left, keys so far); skipping pool[i] is
-    # pushed last so that it is explored first
+def _completions(pool: Sequence[tuple[int, str]], budget: int) -> list[list[int]]:
+    """table[i][b]: the number of multisets over pool[i:] whose Euler
+    numbers sum to exactly b, for 0 <= b <= budget (a coin-change count)."""
+    table = [[1] + [0] * budget]
+    for e, _ in reversed(pool):
+        row = table[-1][:]
+        for b in range(e, budget + 1):
+            row[b] += row[b - e]
+        table.append(row)
+    table.reverse()
+    return table
+
+
+def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int,
+                     table: list[list[int]]) -> list[tuple[str, ...]]:
+    """The symbols of all multisets over pool, sorted distinct (Euler
+    number, symbol) keys, whose Euler numbers sum to exactly budget, in
+    ascending order of their key tuples.
+
+    An explicit stack, not recursion: a multiset can hold up to budget
+    keys.  Each state fixes how many copies of pool[i] to take, and is
+    pushed only if ``table`` (from ``_completions``) says it can still be
+    completed, so every state leads to an output and the work follows the
+    output size.  More copies of pool[i] sort first, so they are pushed
+    last, and the multisets come out already sorted.
+    """
+    out: list[tuple[str, ...]] = []
+    if not table[0][budget]:
+        return out
+    # (next pool index, budget left, symbols so far)
     stack = [(0, budget, ())]
     while stack:
         i, left, acc = stack.pop()
         if left == 0:
             out.append(acc)
-        elif i < len(pool):
-            key = pool[i]
-            if key[0] <= left:
-                stack.append((i, left - key[0], acc + (key,)))
-            stack.append((i + 1, left, acc))
+            continue
+        e, symbol = pool[i]
+        for count in range(left // e + 1):
+            if table[i + 1][left - count * e]:
+                stack.append((i + 1, left - count * e, acc + (symbol,) * count))
     return out
 
 
@@ -173,29 +203,49 @@ def fiber_orbit_configs(total_euler: int,
     singular-fiber datum) and is dropped from the orbit pool; it is allowed
     at the fixed places.  Configurations whose two fixed fibers could be
     swapped (both orders admissible) are reported once, in canonical order.
+
+    The configurations are counted before any is built.  ValueError when
+    total_euler // orbit_size exceeds MAX_ORBIT_BUDGET, the completion
+    table would exceed MAX_ORBIT_TABLE entries, or the configurations, each
+    weighted by its orbit budget (at least 1), exceed MAX_ORBIT_OUTPUT.
     """
+    if total_euler // orbit_size > MAX_ORBIT_BUDGET:
+        raise ValueError(f"total_euler // orbit_size exceeds the cap {MAX_ORBIT_BUDGET}")
     # each entry keyed once, in list order, so a ValueError names the first
     # unknown type of zero, then inf, then orbit
     zero = {_type_key(s) for s in allowed_at_zero}
     inf = {_type_key(s) for s in allowed_at_inf}
-    pool = sorted({_type_key(s) for s in orbit_allowed if s != "I0"})
+    orbit_keys = {_type_key(s) for s in orbit_allowed if s != "I0"}
 
-    multisets: dict[int, list[tuple]] = {}
-    found: set[tuple] = set()
+    canonical = set()
     for k0 in zero:
         for kinf in inf:
             remaining = total_euler - k0[0] - kinf[0]
-            if remaining < 0 or remaining % orbit_size:
-                continue
-            fixed = (k0, kinf)
-            if kinf in zero and k0 in inf:
-                fixed = min(fixed, (kinf, k0))
-            budget = remaining // orbit_size
-            if budget not in multisets:
-                multisets[budget] = _orbit_multisets(pool, budget)
-            found.update((fixed, orbit) for orbit in multisets[budget])
-    return [OrbitConfig((k0[1], kinf[1]), tuple(s for _, s in orbit), orbit_size, total_euler)
-            for (k0, kinf), orbit in sorted(found)]
+            if remaining >= 0 and remaining % orbit_size == 0:
+                swappable = kinf in zero and k0 in inf
+                canonical.add(min((k0, kinf), (kinf, k0)) if swappable else (k0, kinf))
+    pairs = sorted(canonical)
+    budgets = [(total_euler - k0[0] - kinf[0]) // orbit_size for k0, kinf in pairs]
+
+    top = max(budgets, default=0)
+    pool = sorted(k for k in orbit_keys if k[0] <= top)
+    if (len(pool) + 1) * (top + 1) > MAX_ORBIT_TABLE:
+        raise ValueError(f"the orbit completion table exceeds the cap {MAX_ORBIT_TABLE} entries")
+    table = _completions(pool, top)
+    if sum(table[0][b] * max(b, 1) for b in budgets) > MAX_ORBIT_OUTPUT:
+        raise ValueError("the configurations, each weighted by its orbit budget, "
+                         f"exceed the cap {MAX_ORBIT_OUTPUT}")
+
+    # every canonical pair takes every multiset of its budget, so emitting
+    # pair by pair in sorted order sorts the configurations
+    orbits: dict[int, list[tuple[str, ...]]] = {}
+    configs = []
+    for (k0, kinf), budget in zip(pairs, budgets):
+        if budget not in orbits:
+            orbits[budget] = _orbit_multisets(pool, budget, table)
+        fixed = (k0[1], kinf[1])
+        configs += [OrbitConfig(fixed, orbit, orbit_size, total_euler) for orbit in orbits[budget]]
+    return configs
 
 
 # ---------------------------------------------------------------------------

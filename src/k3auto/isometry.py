@@ -166,28 +166,35 @@ def char_poly_decompositions(order: int, rank: int, *,
 
     ``allowed`` (if given) restricts d to that set.  Output is canonically
     ordered and possibly empty.
+
+    An explicit stack over the divisors, largest phi(d) first, chooses a
+    count for each divisor but the last; the last divisor's count is
+    whatever rank is left, if its phi(d) divides that.
     """
     if order < 1 or rank < 0:
         raise ValueError("need order >= 1 and rank >= 0")
-    ds = [d for d in divisors(order) if allowed is None or d in allowed]
-    # large phi first so the remaining-rank bound prunes early
-    ds.sort(key=_phi, reverse=True)
+    # (phi(d), d), large phi first so the remaining-rank bound prunes early
+    steps = sorted(((_phi(d), d) for d in divisors(order) if allowed is None or d in allowed),
+                   reverse=True)
+    if not steps:
+        return [CyclotomicMultiset()] if rank == 0 else []
+    *choose, (last_step, last_d) = steps
 
     results: list[CyclotomicMultiset] = []
-
-    def walk(index: int, remaining: int, chosen: dict[int, int]):
-        if index == len(ds):
-            if remaining == 0:
-                results.append(CyclotomicMultiset.from_counts(chosen))
-            return
-        d = ds[index]
-        step = _phi(d)
-        for count in range(remaining // step + 1):
-            chosen[d] = count
-            walk(index + 1, remaining - count * step, chosen)
-        chosen.pop(d, None)
-
-    walk(0, rank, {})
+    # (next block index, rank left, chosen (d, count) blocks with count > 0)
+    stack = [(0, rank, ())]
+    while stack:
+        index, remaining, chosen = stack.pop()
+        if index == len(choose):
+            count, rest = divmod(remaining, last_step)
+            if not rest:
+                blocks = chosen + ((last_d, count),) if count else chosen
+                results.append(CyclotomicMultiset(tuple(sorted(blocks))))
+            continue
+        step, d = choose[index]
+        stack.append((index + 1, remaining, chosen))
+        for count in range(1, remaining // step + 1):
+            stack.append((index + 1, remaining - count * step, chosen + ((d, count),)))
     results.sort(key=CyclotomicMultiset.sort_key)
     return results
 

@@ -214,6 +214,36 @@ def test_enumerate_deep_orbit_budget(capsys, tmp_path):
     assert report["configs"][0]["orbits"] == ["I1"] * 3000
 
 
+# coin-change counts: P1 has 650,131,238 configurations, P2 none, since
+# every orbit type has an even Euler number and the budget is odd
+BUDGET_PROBES = {
+    "P1": ({"kind": "fiber_orbits", "total_euler": 400, "orbit_size": 1,
+            "allowed_at_zero": ["I0"], "allowed_at_inf": ["I0"],
+            "orbit_allowed": ["I1", "I2", "I3", "II", "III", "IV"]}, 2),
+    "P2": ({"kind": "fiber_orbits", "total_euler": 401, "orbit_size": 1,
+            "allowed_at_zero": ["I0"], "allowed_at_inf": ["I0"],
+            "orbit_allowed": ["I2", "I4", "I6", "I8", "I10", "I12"]}, 0),
+}
+
+
+@pytest.mark.parametrize("payload, code", BUDGET_PROBES.values(), ids=BUDGET_PROBES.keys())
+def test_enumerate_counts_configurations_before_building(tmp_path, payload, code):
+    # a subprocess with a timeout, so that a regression that builds every
+    # configuration fails instead of hanging the suite
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "k3auto.cli", "enumerate",
+                             write_scenario(tmp_path, payload)],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == code
+    if code:
+        assert result.stderr == ("error: the configurations, each weighted by its "
+                                 "orbit budget, exceed the cap 2000000\n")
+    else:
+        assert json.loads(result.stdout) == {"kind": "fiber_orbits", "count": 0,
+                                             "configs": []}
+
+
 def test_enumerate_order22(capsys, tmp_path):
     path = write_scenario(tmp_path, {"kind": "order22", "scenario": "lemma9"})
     code, out, _ = run(capsys, ["enumerate", path])

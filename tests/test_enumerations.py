@@ -122,6 +122,34 @@ def test_orbit_configs_sum_to_the_budget(total):
         assert OrbitConfig(c.fixed_fibers, c.orbit_fibers, c.orbit_size, total) == c
 
 
+def test_orbit_output_cap_counts_before_building(monkeypatch):
+    # orbits96: 4,216 configurations, each weighted by its orbit budget
+    args = orbit_args(96)
+    weighted = sum(
+        max(1, (96 - sum(map(fiber_euler_number, c.fixed_fibers))) // 11)
+        for c in fiber_orbit_configs(*args)
+    )
+    monkeypatch.setattr(enumerations, "MAX_ORBIT_OUTPUT", weighted)
+    assert len(fiber_orbit_configs(*args)) == 4216
+
+    def never(*_):
+        raise AssertionError("a multiset was built above the cap")
+
+    monkeypatch.setattr(enumerations, "MAX_ORBIT_OUTPUT", weighted - 1)
+    monkeypatch.setattr(enumerations, "_orbit_multisets", never)
+    with pytest.raises(ValueError, match="weighted by its orbit budget"):
+        fiber_orbit_configs(*args)
+
+
+@pytest.mark.parametrize("args, named", [
+    ((3001, ["I0"], ["I0"], ["I1"], 1), "total_euler // orbit_size"),
+    ((3000, ["I0"], ["I0"], [f"I{n}" for n in range(1, 101)], 1), "completion table"),
+], ids=["budget", "table"])
+def test_orbit_enumeration_caps(args, named):
+    with pytest.raises(ValueError, match=named):
+        fiber_orbit_configs(*args)
+
+
 def test_main_orbit_enumeration():
     pool = kodaira_types_up_to(12)
     configs = fiber_orbit_configs(24, {"I0", "II"}, {"I0", "II"}, pool)

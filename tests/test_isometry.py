@@ -169,8 +169,9 @@ def test_decomposition_examples():
     ]
 
 
-def brute_force_decompositions(order: int, rank: int) -> set[tuple[tuple[int, int], ...]]:
-    ds = sorted(divisors(order))
+def brute_force_decompositions(order: int, rank: int,
+                               allowed=None) -> set[tuple[tuple[int, int], ...]]:
+    ds = sorted(d for d in divisors(order) if allowed is None or d in allowed)
     phis = [int(totient(d)) for d in ds]
     found: set[tuple[tuple[int, int], ...]] = set()
 
@@ -186,14 +187,23 @@ def brute_force_decompositions(order: int, rank: int) -> set[tuple[tuple[int, in
     return found
 
 
+# None is every divisor; {5, 7} excludes every divisor of these orders, so
+# rank 0 has one (empty) decomposition and every other rank none
+ALLOWED_SETS = (None, {1}, {2, 11}, {11, 22, 33}, {3, 6, 66}, {5, 7})
+
+
 def test_decompositions_exhaustive_vs_brute_force():
-    for order in (1, 2, 3, 4, 6, 11, 12, 22):
-        for rank in range(0, 13):
-            mine = char_poly_decompositions(order, rank)
-            assert all(m.rank == rank for m in mine)
-            as_sets = {tuple(sorted(m.counts().items())) for m in mine}
-            assert as_sets == brute_force_decompositions(order, rank)
-            assert len(mine) == len(as_sets)  # no duplicates
+    for order in (1, 2, 3, 4, 6, 11, 12, 22, 33, 66):
+        for allowed in ALLOWED_SETS:
+            for rank in range(0, 13):
+                mine = char_poly_decompositions(order, rank, allowed=allowed)
+                assert all(m.rank == rank for m in mine)
+                assert mine == sorted(mine, key=CyclotomicMultiset.sort_key)
+                as_sets = {tuple(sorted(m.counts().items())) for m in mine}
+                assert as_sets == brute_force_decompositions(order, rank, allowed)
+                assert len(mine) == len(as_sets)  # no duplicates
+    assert char_poly_decompositions(66, 0, allowed={5, 7}) == [CyclotomicMultiset()]
+    assert char_poly_decompositions(66, 1, allowed={5, 7}) == []
 
 
 def test_local_curve_possible():

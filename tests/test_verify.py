@@ -1,9 +1,12 @@
 """The replay suite itself: every scenario passes, reports are stable."""
 
+import gc
 import json
 
 import pytest
 
+from k3auto.enumerations import fiber_orbit_configs, kodaira_types_up_to, order22_replay
+from k3auto.isometry import char_poly_decompositions
 from k3auto.verify import SCENARIOS, VerificationReport, run_scenarios
 
 
@@ -63,3 +66,28 @@ def test_failure_is_rendered_with_both_sides():
     text = report.to_text()
     assert "expected" in text and "actual" in text
     assert report.as_report()["passed"] is False
+
+
+FIXED = ("I0",) + kodaira_types_up_to(24)
+PAPER_OPS = {
+    "char_poly_decompositions.66.22": lambda: char_poly_decompositions(66, 22),
+    "order22.lemma1": lambda: order22_replay("lemma1"),
+    "order22.lemma9": lambda: order22_replay("lemma9"),
+    "order22.control": lambda: order22_replay("control"),
+    "orbits96": lambda: fiber_orbit_configs(96, FIXED, FIXED, kodaira_types_up_to(8)),
+    **{f"scenario.{name}": op for name, op in SCENARIOS.items()},
+}
+
+
+@pytest.mark.parametrize("op", PAPER_OPS.values(), ids=PAPER_OPS.keys())
+def test_paper_op_leaves_no_reference_cycle(op):
+    # with the cyclic collector off, what an op allocates must be freed by
+    # reference counting alone: a cycle would keep its whole result alive
+    # until the next collection
+    gc.disable()
+    try:
+        gc.collect()
+        op()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
