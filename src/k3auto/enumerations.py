@@ -217,11 +217,14 @@ def fiber_orbit_configs(total_euler: int,
     inf = {_type_key(s) for s in allowed_at_inf}
     orbit_keys = {_type_key(s) for s in orbit_allowed if s != "I0"}
 
+    inf_keys = sorted(inf)  # by Euler number: each k0 stops at the first that does not fit
     canonical = set()
     for k0 in zero:
-        for kinf in inf:
+        for kinf in inf_keys:
             remaining = total_euler - k0[0] - kinf[0]
-            if remaining >= 0 and remaining % orbit_size == 0:
+            if remaining < 0:
+                break
+            if remaining % orbit_size == 0:
                 swappable = kinf in zero and k0 in inf
                 canonical.add(min((k0, kinf), (kinf, k0)) if swappable else (k0, kinf))
     pairs = sorted(canonical)

@@ -11,9 +11,9 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
     index := INT | '(' INT ')'          written A10, A 10 or A(10)
 
 INT may carry a leading '-' with no space after it.  An expression may
-have rank at most `MAX_LATTICE_RANK`.  Invariants are exact and computed on
-integers only: determinant and signature from one fraction-free (Bareiss)
-symmetric elimination, discriminant groups from the Smith form modulo |det|.
+have rank at most `MAX_LATTICE_RANK`.  Invariants are exact, on integers
+only, one orthogonal component at a time: determinant and signature by
+fraction-free (Bareiss) elimination, discriminant groups by Smith form mod |det|.
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ class Lattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        rows = []
-        for row in self.gram:
-            if len(row) != n:
-                raise LatticeError("Gram matrix must be square")
-            rows.append(tuple(int(x) for x in row))
-        gram = tuple(rows)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError("Gram matrix must be symmetric")
+        if any(len(row) != n for row in self.gram):
+            raise LatticeError("Gram matrix must be square")
+        gram = tuple(tuple(map(int, row)) for row in self.gram)
+        if gram != tuple(zip(*gram)):
+            raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
 
     @property
@@ -236,7 +231,40 @@ def build_lattice(expr: str) -> Lattice:
         raise LatticeExprError(str(exc)) from exc
 
 
+def _components(gram: Gram) -> list[list[int]]:
+    """Sorted index sets of the orthogonal components: the connected
+    components of the graph of the nonzero off-diagonal entries."""
+    seen = [False] * len(gram)
+    components = []
+    for start in range(len(gram)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, component = [start], []
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j, x in enumerate(gram[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        components.append(sorted(component))
+    return components
+
+
 def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
+    """Exact determinant and signature, one orthogonal component at a time
+    (`_bareiss`): det multiplies and the signature counts add."""
+    gram = lattice.gram
+    det, counts = 1, [0, 0, 0]
+    for comp in _components(gram):
+        d, sig = _bareiss([[gram[r][c] for c in comp] for r in comp])
+        det *= d
+        counts = [n + m for n, m in zip(counts, (sig.positives, sig.negatives, sig.zeros))]
+    return det, SignaturePair(*counts)
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
     """Exact determinant and signature in one fraction-free symmetric
     elimination (Bareiss).
 
@@ -250,8 +278,8 @@ def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
     M_i / M_{i-1}, of sign sign(M_i) * sign(M_{i-1}).  Zero diagonal
     entries of a degenerate matrix are counted separately.
     """
-    n = lattice.rank
-    g = [list(row) for row in lattice.gram]
+    n = len(rows)
+    g = [list(row) for row in rows]
 
     def swap(i: int, j: int):
         g[i], g[j] = g[j], g[i]
@@ -304,20 +332,36 @@ def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
 def discriminant_group(lattice: Lattice) -> DiscGroup:
     """Invariant factors of the Gram matrix over Z, omitting 1's.
 
-    dual(L)/L is Z^n modulo the columns of the Gram matrix G, which contain
-    D*Z^n for D = |det G| (G times its adjugate is det * I).  Adding the
-    columns of D*I to the generators changes nothing, so the elimination
-    keeps every entry reduced mod D (Smith form modulo D).  Row and column
-    operations bring G to a diagonal; each diagonal entry a gives a cyclic
-    factor Z/gcd(a, D), and a gcd/lcm sweep puts the factors in
-    divisibility order.
+    dual(L)/L of an orthogonal sum is the direct sum of the summands'
+    groups: each orthogonal component is reduced on its own (`_smith_mod`),
+    and a gcd/lcm sweep puts all their cyclic factors in divisibility order.
     """
-    det, _ = determinant_and_signature(lattice)
-    big_d = abs(det)
-    if big_d == 0:
-        raise LatticeError("degenerate lattice has no discriminant group")
-    n = lattice.rank
-    a = [[x % big_d for x in row] for row in lattice.gram]
+    gram = lattice.gram
+    diagonal = []
+    for comp in _components(gram):
+        block = [[gram[r][c] for c in comp] for r in comp]
+        big_d = abs(_bareiss(block)[0])
+        if big_d == 0:
+            raise LatticeError("degenerate lattice has no discriminant group")
+        if big_d > 1:  # a unimodular component adds nothing
+            diagonal += [f for f in _smith_mod(block, big_d) if f != 1]
+    # gcd/lcm sweep: afterwards every factor divides the ones after it
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            x, y = diagonal[i], diagonal[j]
+            h = math.gcd(x, y)
+            diagonal[i], diagonal[j] = h, x // h * y
+    return DiscGroup(tuple(f for f in diagonal if f != 1))
+
+
+def _smith_mod(rows: list[list[int]], big_d: int) -> list[int]:
+    """Diagonal a_1, ..., a_n of a Smith form of the Gram matrix G modulo
+    D = |det G| = `big_d`: each a_i divides D and Z^n / G Z^n is the sum of
+    the Z/a_i.  G Z^n contains D*Z^n (G times its adjugate is det * I), so
+    adding the columns of D*I to the generators changes nothing.
+    """
+    n = len(rows)
+    a = [[x % big_d for x in row] for row in rows]
     diagonal = []
     for k in range(n):
         while True:
@@ -361,13 +405,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
                 x, y = row[k], row[dirty]
                 row[k], row[dirty] = (u * x + v * y) % big_d, (s * y - t * x) % big_d
         diagonal.append(a[k][k])
-    # gcd/lcm sweep: afterwards every factor divides the ones after it
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = diagonal[i], diagonal[j]
-            h = math.gcd(x, y)
-            diagonal[i], diagonal[j] = h, x // h * y
-    return DiscGroup(tuple(f for f in diagonal if f != 1))
+    return diagonal
 
 
 def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
@@ -438,9 +476,8 @@ def divisor_class_solve(
     gram = lattice.gram
     n = lattice.rank
     constraints = [(tuple(int(x) for x in w), int(c)) for w, c in dot_constraints]
-    for w, _ in constraints:
-        if len(w) != n:
-            raise LatticeError("constraint vector of wrong length")
+    if any(len(w) != n for w, _ in constraints):
+        raise LatticeError("constraint vector of wrong length")
 
     if n == 2:
         usable = next(
@@ -457,14 +494,10 @@ def divisor_class_solve(
             base = (u * (c0 // g), v * (c0 // g))
             direction = (beta // g, -alpha // g)
             candidates = _solve_on_line(gram, base, direction, constraints, norm)
-            if candidates is None:
-                # the quadratic condition degenerated to 0 = 0 on the line
-                return DivisorSolveResult(tuple(sorted(_box_search(gram, constraints, norm, bound))), False)
-            return DivisorSolveResult(tuple(sorted(candidates)), True)
-
-    return DivisorSolveResult(
-        tuple(sorted(_box_search(gram, constraints, norm, bound))), False
-    )
+            if candidates is not None:
+                return DivisorSolveResult(tuple(sorted(candidates)), True)
+            # None: the quadratic condition is 0 = 0 on the line; search the box
+    return DivisorSolveResult(tuple(sorted(_box_search(gram, constraints, norm, bound))), False)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
@@ -511,17 +544,9 @@ def _solve_on_line(gram, base, direction, constraints, norm):
         roots = [-c // b] if c % b == 0 else []
     else:
         disc = b * b - 4 * a * c
-        if disc < 0:
-            roots = []
-        else:
-            r = math.isqrt(disc)
-            if r * r != disc:
-                roots = []
-            else:
-                roots = []
-                for num in (-b + r, -b - r):
-                    if num % (2 * a) == 0:
-                        roots.append(num // (2 * a))
+        r = math.isqrt(max(disc, 0))
+        roots = [num // (2 * a) for num in (-b + r, -b - r)
+                 if r * r == disc and num % (2 * a) == 0]
     if ks is not None:
         roots = [k for k in roots if k in ks]
     return [

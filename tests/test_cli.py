@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,27 @@ def test_enumerate_counts_configurations_before_building(tmp_path, payload, code
     else:
         assert json.loads(result.stdout) == {"kind": "fiber_orbits", "count": 0,
                                              "configs": []}
+
+
+def test_enumerate_follows_only_fixed_pairs_that_fit(capsys, tmp_path):
+    # 10,000 types at each fixed place, of which only I1..I24 fit into
+    # Euler number 24: the answer takes no time per (zero, inf) pair
+    def config(top):
+        types = [f"I{n}" for n in range(1, top + 1)]
+        return {"kind": "fiber_orbits", "total_euler": 24, "allowed_at_zero": types,
+                "allowed_at_inf": types, "orbit_allowed": ["I1", "I2"]}
+
+    (tmp_path / "small").mkdir()
+    _, small, _ = run(capsys, ["enumerate", write_scenario(tmp_path / "small", config(24))])
+    path = write_scenario(tmp_path, config(10000))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["enumerate", path])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == small
+    # I(n) + I(24 - n) with no orbit, I(n) + I(13 - n) with one I1 orbit,
+    # and I1 + I1 with orbits I1 + I1 or I2
+    assert json.loads(out)["count"] == 12 + 6 + 2
 
 
 def test_enumerate_order22(capsys, tmp_path):

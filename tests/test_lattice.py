@@ -202,6 +202,53 @@ def test_degenerate_random_grams_have_no_discriminant_group():
                 discriminant_group(lat)
 
 
+def scrambled_orthogonal_sum(rng):
+    """A direct sum of 1-5 blocks (random Gram matrices of rank 1-4, U(m)
+    or a zero 1x1 block), its rows and columns permuted alike, so that the
+    summands sit on non-contiguous index sets."""
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        draw = rng.random()
+        if draw < 0.15:
+            blocks.append(hyperbolic_plane(rng.choice((1, -2, 11))))
+        elif draw < 0.25:
+            blocks.append(Lattice(((0,),)))
+        else:
+            blocks.append(random_gram(rng, rng.randint(1, 4), span=rng.choice((2, 5)))[0])
+    gram = blocks[0].direct_sum(*blocks[1:]).gram
+    perm = list(range(len(gram)))
+    rng.shuffle(perm)
+    return Lattice(tuple(tuple(gram[r][c] for c in perm) for r in perm))
+
+
+def test_permuted_orthogonal_sums_match_oracle():
+    rng = random.Random(1313)
+    degenerate = 0
+    for _ in range(40):
+        lat = scrambled_orthogonal_sum(rng)
+        det, sig = determinant_and_signature(lat)
+        assert det == sympy.Matrix(lat.gram).det(), lat.gram
+        assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(lat), lat.gram
+        if det == 0:
+            degenerate += 1
+            with pytest.raises(LatticeError):
+                discriminant_group(lat)
+        else:
+            assert (discriminant_group(lat).invariant_factors
+                    == oracle_invariant_factors(lat.gram)), lat.gram
+    assert degenerate  # some draws hold a zero block
+
+
+def test_orthogonal_sums_at_the_rank_cap():
+    e8s = build_lattice(" + ".join(["E8"] * 32))
+    assert determinant_and_signature(e8s) == (1, SignaturePair(0, 256))
+    assert discriminant_group(e8s).invariant_factors == ()
+    # 256 factors of 11 from 128 components: the gcd/lcm sweep runs over all
+    u11s = build_lattice(" + ".join(["U(11)"] * 128))
+    assert determinant_and_signature(u11s) == (121 ** 128, SignaturePair(128, 128))
+    assert discriminant_group(u11s).invariant_factors == (11,) * 256
+
+
 def test_dense_rank48_gram():
     # dense random Gram matrices of rank >= 44 used to stall the
     # rational elimination and sympy's Smith form
