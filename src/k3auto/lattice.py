@@ -10,10 +10,10 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
     atom := 'U' ['(' INT ')'] | ('A' | 'D' | 'E') index | '(' expr ')'
     index := INT | '(' INT ')'          written A10, A 10 or A(10)
 
-INT may carry a leading '-' with no space after it.  An expression may
-have rank at most `MAX_LATTICE_RANK`.  Invariants are exact, on integers
-only, one orthogonal component at a time: determinant and signature by
-fraction-free (Bareiss) elimination, discriminant groups by Smith form mod |det|.
+INT may carry a leading '-' with no space after it; rank is capped at
+`MAX_LATTICE_RANK`.  Invariants are exact integer computations per orthogonal
+component: det and signature by Bareiss elimination, discriminant groups by
+Smith form mod |det| (in `is_p_elementary` only when |det| is a power of p).
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def _components(gram: Gram) -> list[list[int]]:
         while stack:
             i = stack.pop()
             component.append(i)
-            for j, x in enumerate(gram[i]):
-                if x and not seen[j]:
+            for j in itertools.compress(range(len(gram)), gram[i]):
+                if not seen[j]:
                     seen[j] = True
                     stack.append(j)
         components.append(sorted(component))
@@ -323,8 +323,11 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
         for r in range(i + 1, n):
             row_r = g[r]
             a = row_i[r]
-            row_r[r:] = [(p * x - a * y) // prev
-                         for x, y in zip(row_r[r:], row_i[r:])]
+            if a:
+                row_r[r:] = [(p * x - a * y) // prev
+                             for x, y in zip(row_r[r:], row_i[r:])]
+            elif p != prev:  # nothing to eliminate: only the minor's scale changes
+                row_r[r:] = [p * x // prev for x in row_r[r:]]
         prev = p
     return prev, SignaturePair(positives, negatives, 0)
 
@@ -336,13 +339,24 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     groups: each orthogonal component is reduced on its own (`_smith_mod`),
     and a gcd/lcm sweep puts all their cyclic factors in divisibility order.
     """
-    gram = lattice.gram
-    diagonal = []
+    return DiscGroup(_invariant_factors(_component_dets(lattice.gram)))
+
+
+def _component_dets(gram: Gram) -> list[tuple[list[list[int]], int]]:
+    """(block, |det|) of each orthogonal component; raises if one is 0."""
+    pairs = []
     for comp in _components(gram):
         block = [[gram[r][c] for c in comp] for r in comp]
         big_d = abs(_bareiss(block)[0])
         if big_d == 0:
             raise LatticeError("degenerate lattice has no discriminant group")
+        pairs.append((block, big_d))
+    return pairs
+
+
+def _invariant_factors(pairs: list[tuple[list[list[int]], int]]) -> tuple[int, ...]:
+    diagonal = []
+    for block, big_d in pairs:
         if big_d > 1:  # a unimodular component adds nothing
             diagonal += [f for f in _smith_mod(block, big_d) if f != 1]
     # gcd/lcm sweep: afterwards every factor divides the ones after it
@@ -351,7 +365,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
             x, y = diagonal[i], diagonal[j]
             h = math.gcd(x, y)
             diagonal[i], diagonal[j] = h, x // h * y
-    return DiscGroup(tuple(f for f in diagonal if f != 1))
+    return tuple(f for f in diagonal if f != 1)
 
 
 def _smith_mod(rows: list[list[int]], big_d: int) -> list[int]:
@@ -417,10 +431,16 @@ def _gcd_step(p: int, b: int) -> tuple[int, int, int, int]:
 
 
 def is_p_elementary(lattice: Lattice, p: int) -> bool:
-    """dual(L)/L isomorphic to (Z/p)^s for some s >= 0."""
+    """dual(L)/L isomorphic to (Z/p)^s for some s >= 0.  Its order is |det|,
+    the product of the components' |det| (never 0: a degenerate one raises),
+    so the Smith form runs only when that product is a power of p."""
     if p < 2:
         raise LatticeError("p must be at least 2")
-    return all(f == p for f in discriminant_group(lattice).invariant_factors)
+    pairs = _component_dets(lattice.gram)
+    order = math.prod(big_d for _, big_d in pairs)
+    while order % p == 0:
+        order //= p
+    return order == 1 and all(f == p for f in _invariant_factors(pairs))
 
 
 def even_unimodular_exists(positives: int, negatives: int) -> bool:

@@ -277,6 +277,107 @@ def test_p_elementary():
     assert is_p_elementary(build_lattice("U"), 11)  # trivial group
     assert not is_p_elementary(root_lattice_A(2), 11)
     assert not is_p_elementary(root_lattice_E(8).twist(2), 11)
+    # no component's |det| is a power of 6 (D4 has 4), but their product 6^4
+    # is: the group is (Z/6)^4
+    assert is_p_elementary(build_lattice("D4 + D4(3)"), 6)
+    # |det| a power of 11, group not elementary: factors (121, 121) and (121,)
+    assert not is_p_elementary(build_lattice("U(121)"), 11)
+    assert not is_p_elementary(build_lattice("A120"), 11)
+    assert is_p_elementary(build_lattice("U(11) + E8(11) + A10"), 11)
+    with pytest.raises(LatticeError):
+        is_p_elementary(Lattice(((2, 0), (0, 0))), 11)
+
+
+def twisted_block_sum(rng):
+    """A permuted direct sum of 1-4 blocks, each U, A1, A2, D4, A10 or a
+    random rank 1-3 Gram matrix twisted by 1, 2, 3, 6 or 11, or, rarely, a
+    zero 1x1 block; returns the lattice and the blocks' |det|."""
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.05:
+            blocks.append(Lattice(((0,),)))
+            continue
+        base = rng.choice((hyperbolic_plane(), root_lattice_A(1), root_lattice_A(2),
+                           root_lattice_D(4), root_lattice_A(10), None))
+        if base is None:
+            base = random_gram(rng, rng.randint(1, 3), span=2)[0]
+        blocks.append(base.twist(rng.choice((1, 2, 3, 6, 11))))
+    gram = blocks[0].direct_sum(*blocks[1:]).gram
+    perm = list(range(len(gram)))
+    rng.shuffle(perm)
+    lat = Lattice(tuple(tuple(gram[r][c] for c in perm) for r in perm))
+    return lat, [abs(determinant_and_signature(b)[0]) for b in blocks]
+
+
+def is_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_p_elementary_matches_oracle():
+    rng = random.Random(1414)
+    elementary = cross = power_not_elementary = degenerate = 0
+    for k in range(320):
+        if k % 4:
+            lat, dets = twisted_block_sum(rng)
+        else:
+            lat, det = random_gram(rng, rng.randint(1, 5), span=rng.choice((2, 5)))
+            dets = [abs(det)]
+        if 0 in dets:
+            degenerate += 1
+            with pytest.raises(LatticeError):
+                is_p_elementary(lat, 11)
+            continue
+        factors = oracle_invariant_factors(lat.gram)
+        for p in (2, 3, 4, 6, 11):
+            expected = all(f == p for f in factors)
+            assert is_p_elementary(lat, p) == expected, (lat.gram, p)
+            elementary += expected and bool(factors)
+            # elementary although some block's |det| is not a power of p
+            cross += expected and not all(is_power(d, p) for d in dets)
+            power_not_elementary += not expected and is_power(math.prod(dets), p)
+    # every branch is reached: elementary, |det| a power of p but the group
+    # not elementary, and a degenerate block
+    assert elementary and cross and power_not_elementary and degenerate
+
+
+def sparse_gram(rng, rank, density):
+    """A symmetric Gram matrix whose entries are nonzero with probability
+    `density`, so that pivot columns hold zeros; may be degenerate."""
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+    return Lattice(tuple(tuple(row) for row in rows))
+
+
+def tridiagonal_gram(rng, rank):
+    """One orthogonal component with zeros off its three middle diagonals;
+    a zero diagonal entry here and there makes some of them degenerate."""
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        rows[i][i] = rng.choice((-3, -2, 0, 2))
+        if i:
+            rows[i][i - 1] = rows[i - 1][i] = rng.choice((-1, 1, 2))
+    return Lattice(tuple(tuple(row) for row in rows))
+
+
+def test_bareiss_on_sparse_grams_matches_oracle():
+    rng = random.Random(1515)
+    degenerate = 0
+    for k in range(60):
+        rank = rng.randint(2, 12)
+        if k % 3:
+            lat = sparse_gram(rng, rank, rng.choice((0.2, 0.3, 0.4, 0.5)))
+        else:
+            lat = tridiagonal_gram(rng, rank)
+        det, sig = determinant_and_signature(lat)
+        assert det == sympy.Matrix(lat.gram).det(), lat.gram
+        assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(lat), lat.gram
+        degenerate += det == 0
+    assert 0 < degenerate < 60
 
 
 def test_even_unimodular_mod8_rule():
