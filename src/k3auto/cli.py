@@ -13,8 +13,8 @@ Reports are JSON by default (deterministic: sorted keys); ``--text`` or
 ``K3_REPORT_FORMAT=text`` switches to a human-readable rendition.  Exit
 codes: 0 success, 1 verification failure, 2 usage/parse error, 3 invalid
 model, 4 internal error (any other exception, reported as one line on
-stderr without a traceback).  The package needs nothing beyond the Python
-standard library.
+stderr without a traceback).  A reader that closes stdout early is not an
+error.  The package needs nothing beyond the Python standard library.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ EXIT_INTERNAL = 4
 
 
 def _emit(report: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if fmt == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: not a fault; silence the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _resolve_format(args: argparse.Namespace) -> str:

@@ -11,15 +11,17 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
     index := INT | '(' INT ')'          written A10, A 10 or A(10)
 
 INT may carry a leading '-' with no space after it; rank is capped at
-`MAX_LATTICE_RANK`.  Invariants are exact integer computations per orthogonal
-component: det and signature by Bareiss elimination, discriminant groups by
-Smith form mod |det| (in `is_p_elementary` only when |det| is a power of p).
+`MAX_LATTICE_RANK`.  Invariants are exact per orthogonal component: det and
+signature by a Bareiss elimination that touches only the rows it eliminates,
+discriminant groups by Smith form mod |det| (in `is_p_elementary` only when
+|det| is a power of p).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -252,13 +254,21 @@ def _components(gram: Gram) -> list[list[int]]:
     return components
 
 
+def _block(gram: Gram, comp: list[int]) -> list[list[int]]:
+    """The sub-matrix of `gram` on the sorted indices `comp`."""
+    if len(comp) == 1:  # itemgetter of one index returns the entry itself
+        return [[gram[comp[0]][comp[0]]]]
+    pick = operator.itemgetter(*comp)
+    return [list(pick(gram[r])) for r in comp]
+
+
 def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
     """Exact determinant and signature, one orthogonal component at a time
     (`_bareiss`): det multiplies and the signature counts add."""
     gram = lattice.gram
     det, counts = 1, [0, 0, 0]
     for comp in _components(gram):
-        d, sig = _bareiss([[gram[r][c] for c in comp] for r in comp])
+        d, sig = _bareiss(_block(gram, comp))
         det *= d
         counts = [n + m for n, m in zip(counts, (sig.positives, sig.negatives, sig.zeros))]
     return det, SignaturePair(*counts)
@@ -271,28 +281,35 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
     Once the first i rows are eliminated, entry (r, c) of the trailing
     block is the minor of the transformed matrix on rows 0..i-1, r and
     columns 0..i-1, c, so every division is exact and the next pivot is
-    the leading minor M_{i+1}.  The pivoting transforms (simultaneous
-    row/column swap, adding one row-and-column into another) are
-    congruences by matrices of determinant +-1, so the last pivot is
+    the leading minor M_{i+1}.  A row with a zero in the pivot row only
+    changes scale, so it is left alone: row r keeps `last[r]`, the pivot
+    of its last update, its stored entries times prev / last[r] are the
+    minors, and it is brought to scale when it is next read.  Pivoting
+    (simultaneous row/column swap, adding one row-and-column into another)
+    is a congruence by a matrix of determinant +-1, so the last pivot is
     det(Gram), and the diagonal of the congruent diagonal form is
     M_i / M_{i-1}, of sign sign(M_i) * sign(M_{i-1}).  Zero diagonal
     entries of a degenerate matrix are counted separately.
     """
     n = len(rows)
     g = [list(row) for row in rows]
+    last = [1] * n
 
     def swap(i: int, j: int):
         g[i], g[j] = g[j], g[i]
+        last[i], last[j] = last[j], last[i]
         for row in g:
             row[i], row[j] = row[j], row[i]
 
-    positives = negatives = 0
-    prev = 1  # leading minor of the block eliminated so far
+    positives, prev = 0, 1  # prev: leading minor of the block eliminated so far
     for i in range(n):
         if not g[i][i]:
-            # only the upper triangle of the trailing block is kept up to
-            # date; the swap and the addition below read the lower one
+            # only the upper triangle of the trailing block is kept, and
+            # only up to scale; the swap and the addition below read it all
             for r in range(i, n):
+                if last[r] != prev:
+                    g[r][r:] = [x * prev // last[r] for x in g[r][r:]]
+                    last[r] = prev
                 for c in range(r + 1, n):
                     g[c][r] = g[r][c]
             pivot_row = next((j for j in range(i + 1, n) if g[j][j]), None)
@@ -304,7 +321,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
                     None,
                 )
                 if off is None:
-                    return 0, SignaturePair(positives, negatives, n - i)
+                    return 0, SignaturePair(positives, i - positives, n - i)
                 r, c = off
                 if r != i:
                     swap(i, r)
@@ -314,22 +331,20 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
                     row_i[k] += row_c[k]
                 for k in range(i, n):
                     g[k][i] += g[k][c]
-        p = g[i][i]
-        if (p > 0) == (prev > 0):
-            positives += 1
-        else:
-            negatives += 1
         row_i = g[i]
-        for r in range(i + 1, n):
-            row_r = g[r]
-            a = row_i[r]
-            if a:
-                row_r[r:] = [(p * x - a * y) // prev
-                             for x, y in zip(row_r[r:], row_i[r:])]
-            elif p != prev:  # nothing to eliminate: only the minor's scale changes
-                row_r[r:] = [p * x // prev for x in row_r[r:]]
+        q = last[i]
+        if q != prev:
+            row_i[i:] = [x * prev // q for x in row_i[i:]]
+        p = row_i[i]
+        positives += (p > 0) == (prev > 0)  # the others are negative
+        for r in itertools.compress(range(i + 1, n), row_i[i + 1:]):
+            a, q = row_i[r], last[r]
+            if q != prev:  # entry (r, i) at row r's own scale, also a minor
+                a = a * q // prev
+            g[r][r:] = [(p * x - a * y) // q for x, y in zip(g[r][r:], row_i[r:])]
+            last[r] = p
         prev = p
-    return prev, SignaturePair(positives, negatives, 0)
+    return prev, SignaturePair(positives, n - positives, 0)
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
@@ -346,7 +361,7 @@ def _component_dets(gram: Gram) -> list[tuple[list[list[int]], int]]:
     """(block, |det|) of each orthogonal component; raises if one is 0."""
     pairs = []
     for comp in _components(gram):
-        block = [[gram[r][c] for c in comp] for r in comp]
+        block = _block(gram, comp)
         big_d = abs(_bareiss(block)[0])
         if big_d == 0:
             raise LatticeError("degenerate lattice has no discriminant group")

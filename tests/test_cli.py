@@ -50,6 +50,24 @@ def test_lattice_bad_expression_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, read", [
+    # 593,526 bytes of JSON, more than any pipe buffer: the write itself fails
+    (["lattice", " + ".join(["E8"] * 32)], 10),
+    # a short report into a pipe closed before it is written: the flush fails
+    (["--text", "lattice", "U(121)"], 0),
+], ids=["json-32xE8", "text-closed-at-once"])
+def test_closed_stdout_is_not_an_error(argv, read):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "k3auto.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # --------------------------------------------------------- surface analyze
 
 

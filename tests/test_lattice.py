@@ -380,6 +380,63 @@ def test_bareiss_on_sparse_grams_matches_oracle():
     assert 0 < degenerate < 60
 
 
+def graph_gram(rng, lat, diagonal):
+    """The graph of `lat`'s nonzero off-diagonal entries, with random edge
+    weights and a diagonal drawn from `diagonal`."""
+    n = lat.rank
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice(diagonal)
+        for j in range(i + 1, n):
+            if lat.gram[i][j]:
+                rows[i][j] = rows[j][i] = rng.choice((-2, -1, 1, 2))
+    return Lattice(tuple(tuple(row) for row in rows))
+
+
+def test_bareiss_deferred_rows_match_oracle():
+    # The elimination leaves a row alone while the pivot row has a zero in
+    # its column, and brings it to scale only when it next reads it.  In
+    # cycles and D_n and E_n trees with random weights, half of them with
+    # their nodes shuffled, rows wait over several pivots, and are behind
+    # in scale when they next become the pivot row, are eliminated again,
+    # or meet the swap-or-add branch of a zero diagonal; the images below
+    # reach all three as well.  Floor division hides an inexact step, so
+    # only an oracle catches it.
+    rng = random.Random(1616)
+    zero_pivot = 0
+    for k in range(48):
+        rank = rng.randint(4, 12)
+        shape = (root_lattice_A(rank), root_lattice_D(rank),
+                 root_lattice_E(rng.choice((6, 7, 8))))[k % 3]
+        if k % 3 == 0:  # a path closed into a cycle by one more edge
+            rows = [list(row) for row in shape.gram]
+            rows[0][-1] = rows[-1][0] = 1
+            shape = Lattice(tuple(tuple(row) for row in rows))
+        lat = graph_gram(rng, shape, (-3, -2, 2, 3) if k % 2 else (-2, 0, 0, 2))
+        if k % 4 > 1:  # the same graph with its nodes in random order
+            perm = rng.sample(range(lat.rank), lat.rank)
+            lat = Lattice(tuple(tuple(lat.gram[r][c] for c in perm) for r in perm))
+        det, sig = determinant_and_signature(lat)
+        assert det == oracle_det(lat), lat.gram
+        assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(lat), lat.gram
+        # a vanishing leading minor: the elimination reaches the zero-pivot branch
+        zero_pivot += any(not det_mod_prime([row[:m] for row in lat.gram[:m]], 2**61 - 1)
+                          for m in range(1, lat.rank))
+    # unimodular images of root-lattice sums, the shape of lattice-batch's
+    # image ops: the same invariants as their source
+    for _ in range(24):
+        names = rng.sample(("A2", "A4", "D4", "D5", "E6", "U", "U(11)", "A1(3)"), 3)
+        source = build_lattice(" + ".join(names))
+        image = Lattice(congruent_gram(
+            random_unimodular(rng, source.rank, steps=rng.randint(4, 16)), source.gram))
+        det, sig = determinant_and_signature(image)
+        assert det == oracle_det(source), image.gram
+        assert (sig.positives, sig.negatives, sig.zeros) == oracle_signature(source), image.gram
+        assert (discriminant_group(image).invariant_factors
+                == oracle_invariant_factors(source.gram)), image.gram
+    assert zero_pivot
+
+
 def test_even_unimodular_mod8_rule():
     assert even_unimodular_exists(1, 1)
     assert not even_unimodular_exists(1, 11)
