@@ -13,8 +13,9 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
 INT may carry a leading '-' with no space after it; rank is capped at
 `MAX_LATTICE_RANK`.  Invariants are exact per orthogonal component: det and
 signature by a Bareiss elimination that touches only the rows it eliminates,
-discriminant groups by Smith form mod |det| (in `is_p_elementary` only when
-|det| is a power of p).
+discriminant groups by Smith form mod gcd(|det|, M_{n-1}), the pivot before
+the last, or by none where that gcd is 1 (a cyclic group) or, in
+`is_p_elementary`, where |det| is not a power of p.
 """
 
 from __future__ import annotations
@@ -268,15 +269,15 @@ def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
     gram = lattice.gram
     det, counts = 1, [0, 0, 0]
     for comp in _components(gram):
-        d, sig = _bareiss(_block(gram, comp))
+        d, _, sig = _bareiss(_block(gram, comp))
         det *= d
         counts = [n + m for n, m in zip(counts, (sig.positives, sig.negatives, sig.zeros))]
     return det, SignaturePair(*counts)
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
-    """Exact determinant and signature in one fraction-free symmetric
-    elimination (Bareiss).
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, SignaturePair]:
+    """Exact determinant, the pivot before the last (M_{n-1}, 1 for n = 1)
+    and signature in one fraction-free symmetric elimination (Bareiss).
 
     Once the first i rows are eliminated, entry (r, c) of the trailing
     block is the minor of the transformed matrix on rows 0..i-1, r and
@@ -301,7 +302,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
         for row in g:
             row[i], row[j] = row[j], row[i]
 
-    positives, prev = 0, 1  # prev: leading minor of the block eliminated so far
+    positives, before, prev = 0, 1, 1  # prev: leading minor eliminated so far
     for i in range(n):
         if not g[i][i]:
             # only the upper triangle of the trailing block is kept, and
@@ -321,7 +322,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
                     None,
                 )
                 if off is None:
-                    return 0, SignaturePair(positives, i - positives, n - i)
+                    return 0, 0, SignaturePair(positives, i - positives, n - i)
                 r, c = off
                 if r != i:
                     swap(i, r)
@@ -343,8 +344,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, SignaturePair]:
                 a = a * q // prev
             g[r][r:] = [(p * x - a * y) // q for x, y in zip(g[r][r:], row_i[r:])]
             last[r] = p
-        prev = p
-    return prev, SignaturePair(positives, n - positives, 0)
+        before, prev = prev, p
+    return prev, before, SignaturePair(positives, n - positives, 0)
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroup:
@@ -357,40 +358,50 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     return DiscGroup(_invariant_factors(_component_dets(lattice.gram)))
 
 
-def _component_dets(gram: Gram) -> list[tuple[list[list[int]], int]]:
-    """(block, |det|) of each orthogonal component; raises if one is 0."""
-    pairs = []
+def _component_dets(gram: Gram) -> list[tuple[list[list[int]], int, int]]:
+    """(block, |det|, gcd(|det|, M_{n-1})) per orthogonal component; raises on a 0."""
+    triples = []
     for comp in _components(gram):
         block = _block(gram, comp)
-        big_d = abs(_bareiss(block)[0])
-        if big_d == 0:
+        det, minor, _ = _bareiss(block)
+        if det == 0:
             raise LatticeError("degenerate lattice has no discriminant group")
-        pairs.append((block, big_d))
-    return pairs
+        triples.append((block, abs(det), math.gcd(det, minor)))
+    return triples
 
 
-def _invariant_factors(pairs: list[tuple[list[list[int]], int]]) -> tuple[int, ...]:
+def _invariant_factors(triples: list[tuple[list[list[int]], int, int]]) -> tuple[int, ...]:
     diagonal = []
-    for block, big_d in pairs:
-        if big_d > 1:  # a unimodular component adds nothing
-            diagonal += [f for f in _smith_mod(block, big_d) if f != 1]
-    # gcd/lcm sweep: afterwards every factor divides the ones after it
-    for i in range(len(diagonal)):
-        for j in range(i + 1, len(diagonal)):
-            x, y = diagonal[i], diagonal[j]
+    for block, big_d, g in triples:
+        if g == 1:  # cyclic, Z/|det| (nothing for a unimodular component)
+            diagonal.append(big_d)
+            continue
+        # s_1, ..., s_{n-1} divide g and then comes gcd(s_n, g) > 1: rebuild s_n
+        *rest, _ = _divisibility_order(_smith_mod(block, g))
+        diagonal += rest + [big_d // math.prod(rest)]
+    return tuple(_divisibility_order(diagonal))
+
+
+def _divisibility_order(factors: list[int]) -> list[int]:
+    """The same group's cyclic factors with 1's omitted, each dividing the
+    ones after it (a gcd/lcm sweep)."""
+    factors = [f for f in factors if f != 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            x, y = factors[i], factors[j]
             h = math.gcd(x, y)
-            diagonal[i], diagonal[j] = h, x // h * y
-    return tuple(f for f in diagonal if f != 1)
+            factors[i], factors[j] = h, x // h * y
+    return [f for f in factors if f != 1]
 
 
-def _smith_mod(rows: list[list[int]], big_d: int) -> list[int]:
-    """Diagonal a_1, ..., a_n of a Smith form of the Gram matrix G modulo
-    D = |det G| = `big_d`: each a_i divides D and Z^n / G Z^n is the sum of
-    the Z/a_i.  G Z^n contains D*Z^n (G times its adjugate is det * I), so
-    adding the columns of D*I to the generators changes nothing.
+def _smith_mod(rows: list[list[int]], m: int) -> list[int]:
+    """Diagonal of a Smith form of the Gram matrix G modulo m: Z^n / (G Z^n +
+    m Z^n) is the sum of its Z/a_i, in divisibility order the gcd(s_i, m) of
+    G's invariant factors s_1 | ... | s_n.  For m = gcd(|det G|, M_{n-1}),
+    which s_1 * ... * s_{n-1} = |det G| / s_n divides, they are s_i for i < n.
     """
     n = len(rows)
-    a = [[x % big_d for x in row] for row in rows]
+    a = [[x % m for x in row] for row in rows]
     diagonal = []
     for k in range(n):
         while True:
@@ -406,17 +417,16 @@ def _smith_mod(rows: list[list[int]], big_d: int) -> list[int]:
                     # (1, 0): the plain extended gcd of (p, p) is (0, 1),
                     # which would swap the rows and cycle forever
                     q = b // p
-                    row_r[k:] = [(y - q * x) % big_d
-                                 for x, y in zip(row_k[k:], row_r[k:])]
+                    row_r[k:] = [(y - q * x) % m for x, y in zip(row_k[k:], row_r[k:])]
                     continue
                 u, v, s, t = _gcd_step(p, b)
                 row_k[k:], row_r[k:] = (
-                    [(u * x + v * y) % big_d for x, y in zip(row_k[k:], row_r[k:])],
-                    [(s * y - t * x) % big_d for x, y in zip(row_k[k:], row_r[k:])],
+                    [(u * x + v * y) % m for x, y in zip(row_k[k:], row_r[k:])],
+                    [(s * y - t * x) % m for x, y in zip(row_k[k:], row_r[k:])],
                 )
-            # column k is now p*e_k, and D*e_k is a generator: the pivot
-            # may be replaced by gcd(p, D)
-            p = row_k[k] = math.gcd(row_k[k], big_d)
+            # column k is now p*e_k, and m*e_k is a generator: the pivot
+            # may be replaced by gcd(p, m)
+            p = row_k[k] = math.gcd(row_k[k], m)
             # clear row k; a column operation that does not just subtract a
             # multiple of column k lowers the pivot to a proper divisor and
             # refills column k, so the loop ends
@@ -432,7 +442,7 @@ def _smith_mod(rows: list[list[int]], big_d: int) -> list[int]:
             for r in range(k, n):
                 row = a[r]
                 x, y = row[k], row[dirty]
-                row[k], row[dirty] = (u * x + v * y) % big_d, (s * y - t * x) % big_d
+                row[k], row[dirty] = (u * x + v * y) % m, (s * y - t * x) % m
         diagonal.append(a[k][k])
     return diagonal
 
@@ -451,11 +461,11 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
     so the Smith form runs only when that product is a power of p."""
     if p < 2:
         raise LatticeError("p must be at least 2")
-    pairs = _component_dets(lattice.gram)
-    order = math.prod(big_d for _, big_d in pairs)
+    triples = _component_dets(lattice.gram)
+    order = math.prod(big_d for _, big_d, _ in triples)
     while order % p == 0:
         order //= p
-    return order == 1 and all(f == p for f in _invariant_factors(pairs))
+    return order == 1 and all(f == p for f in _invariant_factors(triples))
 
 
 def even_unimodular_exists(positives: int, negatives: int) -> bool:

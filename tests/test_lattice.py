@@ -27,6 +27,8 @@ from k3auto.lattice import (
     root_lattice_A,
     root_lattice_D,
     root_lattice_E,
+    _bareiss,
+    _component_dets,
 )
 
 BATTERY = {
@@ -435,6 +437,53 @@ def test_bareiss_deferred_rows_match_oracle():
         assert (discriminant_group(image).invariant_factors
                 == oracle_invariant_factors(source.gram)), image.gram
     assert zero_pivot
+
+
+def test_smith_form_mod_gcd_matches_oracle():
+    # Each component is reduced modulo g = gcd(|det|, M_{n-1}), the largest
+    # factor rebuilt from |det|, and a component with g = 1 is cyclic with
+    # no Smith form at all.  Sparse Grams of rank 1-8, zeros on part of the
+    # diagonal, twisted by 1, 2, 3 or 11, reach every case: cyclic
+    # components of rank > 1, g > 1, a vanishing leading minor (the
+    # elimination's zero-pivot branch) and 11-elementary lattices.
+    rng = random.Random(1717)
+    cyclic = reduced = zero_pivot = elementary = 0
+    for _ in range(400):
+        lat = sparse_gram(rng, rng.randint(1, 8), rng.choice((0.45, 0.55)))
+        lat = lat.twist(rng.choice((1, 2, 3, 11)))
+        try:
+            triples = _component_dets(lat.gram)
+        except LatticeError:  # a degenerate component
+            with pytest.raises(LatticeError):
+                discriminant_group(lat)
+            continue
+        factors = oracle_invariant_factors(lat.gram)
+        assert discriminant_group(lat).invariant_factors == factors, lat.gram
+        expected = all(f == 11 for f in factors)
+        assert is_p_elementary(lat, 11) == expected, lat.gram
+        elementary += expected and bool(factors)
+        for block, _, g in triples:
+            cyclic += g == 1 and len(block) > 1
+            reduced += g > 1
+            zero_pivot += any(not det_mod_prime([row[:m] for row in block[:m]], 2**61 - 1)
+                              for m in range(1, len(block)))
+    assert cyclic and reduced and zero_pivot and elementary
+
+
+def test_bareiss_minor_bounds_the_largest_factor():
+    # The pivot before the last is M_{n-1}, the (n, n) entry of the adjugate
+    # of a matrix congruent to the block, so |det| / gcd(|det|, M_{n-1})
+    # divides the largest invariant factor.  A 1x1 block has M_0 = 1.
+    assert _bareiss([[-7]])[:2] == (-7, 1)
+    rng = random.Random(1818)
+    grams = [build_lattice("U(121)").gram, build_lattice("A2(3)").gram]
+    grams += [random_gram(rng, rng.randint(2, 6))[0].gram for _ in range(30)]
+    grams += [sparse_gram(rng, rng.randint(2, 8), 0.5).gram for _ in range(60)]
+    for gram in grams:
+        det, minor, _ = _bareiss([list(row) for row in gram])
+        if det:
+            largest = max(oracle_invariant_factors(gram), default=1)
+            assert largest % (abs(det) // math.gcd(det, minor)) == 0, gram
 
 
 def test_even_unimodular_mod8_rule():
