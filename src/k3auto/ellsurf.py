@@ -25,13 +25,13 @@ from .polyfield import OMEGA, FieldContext, Place, Poly, gcdfree_basis, poly_gcd
 
 NON_MINIMAL = "NON_MINIMAL"
 
-_IN_RE = re.compile(r"^I(\d+)(\*?)$")
+_IN_RE = re.compile(r"I(0|[1-9][0-9]*)(\*?)")  # one spelling per type: fullmatch it
 _FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 
 def is_multiplicative(symbol: str) -> bool:
     """I_n for some n >= 0 (the only types that admit multiple fibers)."""
-    m = _IN_RE.match(symbol)
+    m = _IN_RE.fullmatch(symbol)
     return bool(m) and not m.group(2)
 
 
@@ -39,7 +39,7 @@ def fiber_euler_number(symbol: str) -> int:
     """e(I_n) = n, e(I_n*) = n + 6, and the fixed additive values."""
     if symbol in _FIXED_EULER:
         return _FIXED_EULER[symbol]
-    m = _IN_RE.match(symbol)
+    m = _IN_RE.fullmatch(symbol)
     if not m:
         raise ValueError(f"unknown fiber type {symbol!r}")
     n = int(m.group(1))

@@ -17,15 +17,17 @@ assumptions in the reports, never re-derived here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ellsurf import fiber_euler_number
 from .isometry import (
     CyclotomicMultiset,
     IsometryPattern,
     char_poly_decompositions,
+    completion_counts,
     lefschetz_number,
     local_curve_possible,
+    weighted_multisets,
 )
 from .lattice import build_lattice, determinant_and_signature, even_unimodular_exists
 
@@ -135,8 +137,8 @@ class OrbitConfig:
 
     def as_record(self) -> dict:
         return {
-            "fixed": list(self.fixed_fibers),
-            "orbits": list(self.orbit_fibers),
+            "fixed": self.fixed_fibers,
+            "orbits": self.orbit_fibers,
             "orbit_size": self.orbit_size,
             "euler_total": self.euler_total,
         }
@@ -146,49 +148,6 @@ class OrbitConfig:
         return f"[0: {self.fixed_fibers[0]}, inf: {self.fixed_fibers[1]}" + (
             f", orbits: {orbit}]" if orbit else "]"
         )
-
-
-def _completions(pool: Sequence[tuple[int, str]], budget: int) -> list[list[int]]:
-    """table[i][b]: the number of multisets over pool[i:] whose Euler
-    numbers sum to exactly b, for 0 <= b <= budget (a coin-change count)."""
-    table = [[1] + [0] * budget]
-    for e, _ in reversed(pool):
-        row = table[-1][:]
-        for b in range(e, budget + 1):
-            row[b] += row[b - e]
-        table.append(row)
-    table.reverse()
-    return table
-
-
-def _orbit_multisets(pool: Sequence[tuple[int, str]], budget: int,
-                     table: list[list[int]]) -> list[tuple[str, ...]]:
-    """The symbols of all multisets over pool, sorted distinct (Euler
-    number, symbol) keys, whose Euler numbers sum to exactly budget, in
-    ascending order of their key tuples.
-
-    An explicit stack, not recursion: a multiset can hold up to budget
-    keys.  Each state fixes how many copies of pool[i] to take, and is
-    pushed only if ``table`` (from ``_completions``) says it can still be
-    completed, so every state leads to an output and the work follows the
-    output size.  More copies of pool[i] sort first, so they are pushed
-    last, and the multisets come out already sorted.
-    """
-    out: list[tuple[str, ...]] = []
-    if not table[0][budget]:
-        return out
-    # (next pool index, budget left, symbols so far)
-    stack = [(0, budget, ())]
-    while stack:
-        i, left, acc = stack.pop()
-        if left == 0:
-            out.append(acc)
-            continue
-        e, symbol = pool[i]
-        for count in range(left // e + 1):
-            if table[i + 1][left - count * e]:
-                stack.append((i + 1, left - count * e, acc + (symbol,) * count))
-    return out
 
 
 def fiber_orbit_configs(total_euler: int,
@@ -234,7 +193,7 @@ def fiber_orbit_configs(total_euler: int,
     pool = sorted(k for k in orbit_keys if k[0] <= top)
     if (len(pool) + 1) * (top + 1) > MAX_ORBIT_TABLE:
         raise ValueError(f"the orbit completion table exceeds the cap {MAX_ORBIT_TABLE} entries")
-    table = _completions(pool, top)
+    table = completion_counts(pool, top)
     if sum(table[0][b] * max(b, 1) for b in budgets) > MAX_ORBIT_OUTPUT:
         raise ValueError("the configurations, each weighted by its orbit budget, "
                          f"exceed the cap {MAX_ORBIT_OUTPUT}")
@@ -245,7 +204,7 @@ def fiber_orbit_configs(total_euler: int,
     configs = []
     for (k0, kinf), budget in zip(pairs, budgets):
         if budget not in orbits:
-            orbits[budget] = _orbit_multisets(pool, budget, table)
+            orbits[budget] = weighted_multisets(pool, budget, table)
         fixed = (k0[1], kinf[1])
         configs += [OrbitConfig(fixed, orbit, orbit_size, total_euler) for orbit in orbits[budget]]
     return configs

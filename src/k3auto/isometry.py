@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from itertools import groupby
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import PatternError
 
@@ -160,43 +161,66 @@ def lefschetz_number(pattern: IsometryPattern) -> int:
     return 2 + pattern.algebraic.trace + pattern.transcendental.trace
 
 
+def completion_counts(pool: Sequence[tuple[int, object]], budget: int) -> list[list[int]]:
+    """table[i][b]: the number of multisets over pool[i:], a sequence of
+    (positive weight, item) pairs, whose weights sum to exactly b, for
+    0 <= b <= budget (a coin-change count)."""
+    table = [[1] + [0] * budget]
+    for weight, _ in reversed(pool):
+        row = table[-1][:]
+        for b in range(weight, budget + 1):
+            row[b] += row[b - weight]
+        table.append(row)
+    table.reverse()
+    return table
+
+
+def weighted_multisets(pool: Sequence[tuple[int, object]], budget: int,
+                       table: list[list[int]]) -> list[tuple]:
+    """All multisets over pool whose weights sum to exactly budget, each as
+    its items repeated, in pool-index order: more copies of pool[0] first,
+    then, among equal counts, more copies of pool[1], and so on.  As no
+    multiset of the budget is a prefix of another, this is the ascending
+    order of the multisets as tuples of pool indices.
+
+    An explicit stack, not recursion: a multiset can hold up to budget
+    items.  Each state fixes how many copies of pool[i] to take, and is
+    pushed only if ``table`` (from ``completion_counts``) says it can still
+    be completed, so every state leads to an output and the work follows
+    the output size.  More copies are pushed last, so they pop first.
+    """
+    out: list[tuple] = []
+    if not table[0][budget]:
+        return out
+    # (next pool index, budget left, items so far)
+    stack = [(0, budget, ())]
+    while stack:
+        i, left, acc = stack.pop()
+        if left == 0:
+            out.append(acc)
+            continue
+        weight, item = pool[i]
+        for count in range(left // weight + 1):
+            if table[i + 1][left - count * weight]:
+                stack.append((i + 1, left - count * weight, acc + (item,) * count))
+    return out
+
+
 def char_poly_decompositions(order: int, rank: int, *,
                              allowed: Collection[int] | None = None) -> list[CyclotomicMultiset]:
     """All multisets of blocks Phi(d), d | order, with total rank ``rank``.
 
-    ``allowed`` (if given) restricts d to that set.  Output is canonically
-    ordered and possibly empty.
-
-    An explicit stack over the divisors, largest phi(d) first, chooses a
-    count for each divisor but the last; the last divisor's count is
-    whatever rank is left, if its phi(d) divides that.
+    ``allowed`` (if given) restricts d to that set.  Output is possibly
+    empty and in ``CyclotomicMultiset.sort_key`` order: the pool is
+    (phi(d), d) in increasing d, and ``weighted_multisets`` puts more
+    copies of a smaller d first, as the key's (d, -count) pairs do, and no
+    multiset of the rank is a prefix of another.
     """
     if order < 1 or rank < 0:
         raise ValueError("need order >= 1 and rank >= 0")
-    # (phi(d), d), large phi first so the remaining-rank bound prunes early
-    steps = sorted(((_phi(d), d) for d in divisors(order) if allowed is None or d in allowed),
-                   reverse=True)
-    if not steps:
-        return [CyclotomicMultiset()] if rank == 0 else []
-    *choose, (last_step, last_d) = steps
-
-    results: list[CyclotomicMultiset] = []
-    # (next block index, rank left, chosen (d, count) blocks with count > 0)
-    stack = [(0, rank, ())]
-    while stack:
-        index, remaining, chosen = stack.pop()
-        if index == len(choose):
-            count, rest = divmod(remaining, last_step)
-            if not rest:
-                blocks = chosen + ((last_d, count),) if count else chosen
-                results.append(CyclotomicMultiset(tuple(sorted(blocks))))
-            continue
-        step, d = choose[index]
-        stack.append((index + 1, remaining, chosen))
-        for count in range(1, remaining // step + 1):
-            stack.append((index + 1, remaining - count * step, chosen + ((d, count),)))
-    results.sort(key=CyclotomicMultiset.sort_key)
-    return results
+    pool = [(_phi(d), d) for d in divisors(order) if allowed is None or d in allowed]
+    return [CyclotomicMultiset(tuple((d, len(list(run))) for d, run in groupby(items)))
+            for items in weighted_multisets(pool, rank, completion_counts(pool, rank))]
 
 
 def local_curve_possible(weights_1: Iterable[int], weights_2: Iterable[int],

@@ -52,8 +52,10 @@ def test_euler_numbers():
     assert fiber_euler_number("I4*") == 10
     for symbol, e in (("II", 2), ("III", 3), ("IV", 4), ("IV*", 8), ("III*", 9), ("II*", 10)):
         assert fiber_euler_number(symbol) == e
-    with pytest.raises(ValueError):
-        fiber_euler_number("V")
+    # only canonical spellings: ASCII digits, no leading zero, nothing after
+    for symbol in ("V", "I01", "I00", "I02*", "I\u0662", "I1\n", "I1*\n", " I1", "I"):
+        with pytest.raises(ValueError, match="unknown fiber type"):
+            fiber_euler_number(symbol)
 
 
 def test_type_table_rows():

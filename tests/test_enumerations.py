@@ -136,7 +136,7 @@ def test_orbit_output_cap_counts_before_building(monkeypatch):
         raise AssertionError("a multiset was built above the cap")
 
     monkeypatch.setattr(enumerations, "MAX_ORBIT_OUTPUT", weighted - 1)
-    monkeypatch.setattr(enumerations, "_orbit_multisets", never)
+    monkeypatch.setattr(enumerations, "weighted_multisets", never)
     with pytest.raises(ValueError, match="weighted by its orbit budget"):
         fiber_orbit_configs(*args)
 
