@@ -21,7 +21,7 @@ from .errors import (
     InconsistentValuationsError,
     InvalidModelError,
 )
-from .polyfield import OMEGA, FieldContext, Place, Poly, gcdfree_basis, poly_gcd
+from .polyfield import OMEGA, FieldContext, Place, Poly, _poly, gcdfree_basis, poly_gcd
 
 NON_MINIMAL = "NON_MINIMAL"
 
@@ -46,22 +46,18 @@ def fiber_euler_number(symbol: str) -> int:
     return n + 6 if m.group(2) else n
 
 
-def _check_valuation(name: str, v):
-    if v is OMEGA:
-        return
-    if isinstance(v, int) and v >= 0:
-        return
-    raise InconsistentValuationsError(f"{name} must be a nonnegative integer or OMEGA")
+def _check_valuations(v_a, v_b, v_delta) -> None:
+    for name, v in (("v_a", v_a), ("v_b", v_b), ("v_delta", v_delta)):
+        if v is not OMEGA and not (isinstance(v, int) and v >= 0):
+            raise InconsistentValuationsError(f"{name} must be a nonnegative integer or OMEGA")
+    if v_delta is OMEGA:
+        raise InconsistentValuationsError("identically vanishing discriminant")
 
 
 def minimalize_at_place(v_a, v_b, v_delta) -> tuple[object, object, int, int]:
     """Strip (4, 6, 12) while both thresholds are met; returns the reduced
     triple and the number of steps."""
-    _check_valuation("v_a", v_a)
-    _check_valuation("v_b", v_b)
-    _check_valuation("v_delta", v_delta)
-    if v_delta is OMEGA:
-        raise InconsistentValuationsError("identically vanishing discriminant")
+    _check_valuations(v_a, v_b, v_delta)
     steps = 0
     while v_a >= 4 and v_b >= 6:
         if v_delta < 12:
@@ -76,11 +72,7 @@ def minimalize_at_place(v_a, v_b, v_delta) -> tuple[object, object, int, int]:
 def kodaira_type_from_valuations(v_a, v_b, v_delta) -> str:
     """Fiber type of a (local) Weierstrass equation from its valuation
     triple; NON_MINIMAL when a (4, 6, 12)-reduction still applies."""
-    _check_valuation("v_a", v_a)
-    _check_valuation("v_b", v_b)
-    _check_valuation("v_delta", v_delta)
-    if v_delta is OMEGA:
-        raise InconsistentValuationsError("identically vanishing discriminant")
+    _check_valuations(v_a, v_b, v_delta)
 
     def require(condition: bool, symbol: str) -> str:
         if not condition:
@@ -140,13 +132,9 @@ class WeierstrassModel:
 
     @property
     def k(self) -> int:
-        """Minimal k >= 1 with deg a <= 4k and deg b <= 6k."""
-        k = 1
-        if not self.a.is_zero:
-            k = max(k, -(-self.a.degree // 4))
-        if not self.b.is_zero:
-            k = max(k, -(-self.b.degree // 6))
-        return k
+        """Minimal k >= 1 with deg a <= 4k and deg b <= 6k (a zero
+        polynomial, of degree -1, bounds nothing)."""
+        return max(1, -(-self.a.degree // 4), -(-self.b.degree // 6))
 
 
 def discriminant(model: WeierstrassModel) -> Poly:
@@ -171,9 +159,9 @@ def flip_model(model: WeierstrassModel) -> WeierstrassModel:
     k = model.k
 
     def reverse(p: Poly, length: int) -> Poly:
-        if p.is_zero:
-            return p
-        return Poly.make(p.context, [p.coefficient(i) for i in range(length, -1, -1)])
+        pad = [0] * (length + 1 - len(p.xs))
+        ys = [*p.ys, *pad][::-1] if p.ys else []
+        return _poly(p.context, [*p.xs, *pad][::-1], ys, p.den)
 
     return WeierstrassModel(reverse(model.a, 4 * k), reverse(model.b, 6 * k))
 
@@ -206,15 +194,12 @@ class KodairaFiber:
         return self.kodaira_type != "I0"
 
     def as_record(self) -> dict:
-        def enc(v):
-            return None if v is OMEGA else v
-
         return {
             "place": str(self.place),
             "degree": self.degree,
             "type": self.kodaira_type,
-            "v_a": enc(self.v_a),
-            "v_b": enc(self.v_b),
+            "v_a": None if self.v_a is OMEGA else self.v_a,
+            "v_b": None if self.v_b is OMEGA else self.v_b,
             "v_delta": self.v_delta,
             "euler": self.euler,
         }

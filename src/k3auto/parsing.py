@@ -3,16 +3,16 @@
 Polynomial grammar (whitespace-insensitive):
 
     expr   := term (('+' | '-') term)*
-    term   := unary ('*' unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' INT)*
+    term   := factor ('*' factor)*
+    factor := '-'* atom ('^' INT)*      (negated when the '-' are odd)
     atom   := '(' expr ')' | INT ['/' INT] | NAME
 
 `t` is the variable, `w` the quadratic generator (w^2 = d, only valid in a
 quadratic context); any other NAME must be supplied through `bindings`.
 No subexpression may have a degree, and no exponent may be, above
-`MAX_DEGREE`; `t^k` is built as a monomial and a product with a constant
-factor as a scaling.
+`MAX_DEGREE`.  The parser works on the integer vectors: a sum is added
+once over its common denominator, `t^k` is built as a monomial, a product
+with t^k as a shift and one with a constant factor as a scaling.
 
 Eigenvalue-pattern grammar:
 
@@ -35,7 +35,7 @@ from typing import Mapping, Union
 
 from .errors import ParseError
 from .isometry import CyclotomicMultiset, IsometryPattern
-from .polyfield import FieldContext, FieldElement, Poly
+from .polyfield import FieldContext, FieldElement, Poly, _poly, poly_sum
 
 _BindingValue = Union[FieldElement, int, Fraction]
 
@@ -116,6 +116,11 @@ class Lexer:
         return self.next()
 
 
+def _is_monomial(p: Poly) -> bool:
+    """Whether p is t^k for some k >= 0."""
+    return p.den == 1 and not p.ys and p.xs[-1:] == (1,) and not any(p.xs[:-1])
+
+
 class _PolyParser:
     def __init__(self, text: str, context: FieldContext,
                  bindings: Mapping[str, _BindingValue] | None):
@@ -131,32 +136,33 @@ class _PolyParser:
         return p
 
     def _expr(self) -> Poly:
-        p = self._term()
+        terms = [(1, self._term())]
         while self.lx.peek()[0] in ("+", "-"):
-            op = self.lx.next()[0]
-            q = self._term()
-            p = p + q if op == "+" else p - q
-        return p
+            sign = 1 if self.lx.next()[0] == "+" else -1
+            terms.append((sign, self._term()))
+        return terms[0][1] if len(terms) == 1 else poly_sum(self.context, terms)
 
     def _term(self) -> Poly:
-        p = self._unary()
+        p = self._factor()
         while self.lx.peek()[0] == "*":
             pos = self.lx.next()[2]
-            q = self._unary()
+            q = self._factor()
             if p.degree + q.degree > MAX_DEGREE:
                 raise ParseError(f"product exceeds the degree cap {MAX_DEGREE}", pos)
-            p = p * q if p.degree > 0 and q.degree > 0 else p.scale(q)
+            if _is_monomial(p):
+                p, q = q, p
+            if _is_monomial(q):  # p shifted up deg q places
+                pad = (0,) * q.degree
+                p = Poly(self.context, pad + p.xs, pad + p.ys if p.ys else (), p.den) if p.xs else p
+            else:
+                p = p * q if p.degree > 0 and q.degree > 0 else p.scale(q)
         return p
 
-    def _unary(self) -> Poly:
+    def _factor(self) -> Poly:
         negate = False
         while self.lx.peek()[0] == "-":
             self.lx.next()
             negate = not negate
-        p = self._power()
-        return -p if negate else p
-
-    def _power(self) -> Poly:
         p = self._atom()
         while self.lx.peek()[0] == "^":
             self.lx.next()
@@ -164,9 +170,8 @@ class _PolyParser:
             n, k = int(tok[1]), p.degree
             if n * max(k, 1) > MAX_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", tok[2])
-            monomial = k >= 0 and p == Poly.monomial(self.context, k)
-            p = Poly.monomial(self.context, k * n) if monomial else p ** n
-        return p
+            p = Poly.monomial(self.context, k * n) if _is_monomial(p) else p ** n
+        return -p if negate else p
 
     def _atom(self) -> Poly:
         kind, value, pos = self.lx.peek()
@@ -177,15 +182,14 @@ class _PolyParser:
             return p
         if kind == "INT":
             self.lx.next()
-            num = int(value)
+            den = 1
             if self.lx.peek()[0] == "/":
                 self.lx.next()
                 dtok = self.lx.expect("INT")
                 den = int(dtok[1])
                 if den == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return Poly.constant(self.context, Fraction(num, den))
-            return Poly.constant(self.context, num)
+            return _poly(self.context, [int(value)], [], den)
         if kind == "NAME":
             self.lx.next()
             if value == "t":
@@ -196,9 +200,7 @@ class _PolyParser:
                 return Poly(self.context, (0,), (1,))
             if value in self.bindings:
                 bound = self.bindings[value]
-                if not isinstance(bound, FieldElement):
-                    bound = self.context.element(bound)
-                elif bound.context != self.context:
+                if isinstance(bound, FieldElement) and bound.context != self.context:
                     raise ParseError(f"binding {value!r} from another context", pos)
                 return Poly.constant(self.context, bound)
             raise ParseError(f"unbound name {value!r}", pos)

@@ -2,8 +2,9 @@
 
 A polynomial is stored as integer vectors over one denominator,
 (xs + ys*w)/den with w^2 = d (FLINT's fmpq_poly layout), and its
-arithmetic runs on Python ints.  Scalars x + y*sqrt(d) with Fraction parts
-are the edge: they build polynomials and print their coefficients.
+arithmetic runs on Python ints, and so do its text and the order of the
+fiber places.  Scalars x + y*sqrt(d) with Fraction parts are the API edge
+(``Poly.make``, ``Poly.coefficient``); one prints as its constant polynomial.
 Squarefree structure comes from Yun decomposition and a gcd-free basis;
 there is no irreducible factorization, places of the affine line are
 monic squarefree generators.  ``poly_gcd`` is a modular gcd (Encarnacion,
@@ -17,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -72,8 +73,6 @@ class FieldContext:
 
     def generator(self) -> "FieldElement":
         """The element w with w^2 = d."""
-        if not self.is_quadratic:
-            raise ValueError("rational context has no sqrt generator")
         return self.element(0, 1)
 
     def __str__(self) -> str:
@@ -135,16 +134,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return 1 / self
 
-    def sort_key(self):
-        return (self.x, self.y)
-
     def __str__(self) -> str:
-        if not self.y:
-            return str(self.x)
-        w = "w" if abs(self.y) == 1 else f"{abs(self.y)}*w"
-        if not self.x:
-            return w if self.y > 0 else f"-{w}"
-        return f"({self.x} {'+' if self.y > 0 else '-'} {w})"
+        return str(Poly.constant(self.context, self))
 
     def __repr__(self) -> str:
         return f"FieldElement({self})"
@@ -182,8 +173,8 @@ class Poly:
     (xs[k] + ys[k]*w)/den.  The form is normal, so equal polynomials have
     equal fields: no trailing zero pair, ys empty when no coefficient has a
     w part (always over Q) and else as long as xs, den > 0 and coprime to
-    the entries.  Arithmetic runs on these ints; a coefficient becomes a
-    FieldElement only on request (``coefficient``, ``sort_key``, ``str``)."""
+    the entries.  Arithmetic and ``str`` run on these ints; a coefficient
+    becomes a FieldElement only on request (``coefficient``)."""
 
     context: FieldContext
     xs: tuple[int, ...]
@@ -260,10 +251,7 @@ class Poly:
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        s, u = o.den // gcd(self.den, o.den), self.den // gcd(self.den, o.den)
-        xs, ys = (zip_longest(a, b, fillvalue=0) for a, b in ((self.xs, o.xs), (self.ys, o.ys)))
-        return _poly(self.context, [s * a + u * b for a, b in xs],
-                     [s * a + u * b for a, b in ys], s * self.den)
+        return poly_sum(self.context, ((1, self), (1, o)))
 
     __radd__ = __add__
 
@@ -274,7 +262,7 @@ class Poly:
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return poly_sum(self.context, ((1, self), (-1, o)))
 
     def __mul__(self, other):
         o = self._check(other)
@@ -377,36 +365,50 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in reversed(self.coefficients)))
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
+        """Terms from the top, each coefficient as ``_scalar_text`` writes
+        it, with its sign outside and a 1 before a power of t left out."""
+        parts = []
         for k in range(self.degree, -1, -1):
             x, y = self.xs[k], self.ys[k] if self.ys else 0
-            if not x and not y:
-                continue
-            var = "" if k == 0 else "t" if k == 1 else f"t^{k}"
-            if not var:
-                body, negative = str(self.coefficient(k)), False
-            elif not y and abs(x) == self.den:  # the coefficient is 1 or -1
-                body, negative = var, x < 0
-            else:
-                s = str(self.coefficient(k))
-                negative = s.startswith("-")
-                body = f"{s.lstrip('-')}*{var}" if not s.startswith("(") else f"{s}*{var}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                if not var and body.startswith("-"):
-                    negative, body = True, body.lstrip("-")
-                parts.append((" - " if negative else " + ") + body)
-        return "".join(parts)
+            if x or y:
+                text = _scalar_text(x, y, self.den)
+                body = text[text[0] == "-":]
+                if k:
+                    var = "t" if k == 1 else f"t^{k}"
+                    body = var if body == "1" else f"{body}*{var}"
+                parts.append((" - " if text[0] == "-" else " + ") + body)
+        text = "".join(parts)  # the first sign is written without spaces
+        return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _scalar_text(x: int, y: int, den: int) -> str:
+    """(x + y*w)/den, den > 0, as the parser reads it: n or n/m for a
+    rational, w or n/m*w for a pure w part, (a + b*w) for both."""
+    def ratio(n: int) -> str:
+        g = gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    if not y:
+        return ratio(x)
+    w = "w" if abs(y) == den else f"{ratio(abs(y))}*w"
+    return f"({ratio(x)} {'+' if y > 0 else '-'} {w})" if x else w if y > 0 else f"-{w}"
+
+
+def poly_sum(context: FieldContext, terms: Sequence[tuple[int, Poly]]) -> Poly:
+    """The sum of sign*p over (sign, p), sign = +-1: each vector is added
+    in, scaled to the lcm of the denominators, and the sum normalised once."""
+    den, xs, ys = lcm(*[p.den for _, p in terms]), [], []
+    for sign, p in terms:
+        s = sign * den // p.den
+        for acc, v in ((xs, p.xs), (ys, p.ys)):
+            acc.extend(repeat(0, len(v) - len(acc)))
+            for k, c in enumerate(v):
+                acc[k] += s * c
+    return _poly(context, xs, ys, den)
 
 
 def _poly(context: FieldContext, xs: list[int], ys: list[int], den: int) -> Poly:
@@ -594,11 +596,15 @@ def squarefree_decompose(p: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     if p.is_constant:
         raise ZeroPolynomialError("cannot decompose a constant polynomial")
-    content = p.leading_coefficient()
+    return p.leading_coefficient(), _yun(p)
+
+
+def _yun(p: Poly) -> list[tuple[Poly, int]]:
+    """The (f_i, m_i) of ``squarefree_decompose`` for a nonconstant p."""
     a = p.monic()
     g = poly_gcd(a, a.derivative())
     if g.is_constant:
-        return content, [(a, 1)]
+        return [(a, 1)]
     c = a // g
     d = a.derivative() // g - c.derivative()
     factors: list[tuple[Poly, int]] = []
@@ -610,7 +616,7 @@ def squarefree_decompose(p: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]
         c = c // f
         d = d // f - c.derivative()
         i += 1
-    return content, factors
+    return factors
 
 
 def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
@@ -637,8 +643,7 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
     for i, p in enumerate(polys):
         if p.is_constant:
             continue
-        _, factors = squarefree_decompose(p)
-        for f, m in factors:
+        for f, m in _yun(p):
             refined: list[tuple[Poly, list[int]]] = []
             for b, row in basis:
                 g = poly_gcd(f, b)
@@ -658,7 +663,15 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
                 refined.append((f, fresh))
             basis = refined
 
-    basis.sort(key=lambda entry: entry[0].sort_key())
+    # degree, then (x, y) of each coefficient from the top, over one
+    # denominator: the order of the Fraction pairs
+    den = lcm(*[b.den for b, _ in basis])
+
+    def key(entry):
+        b, s = entry[0], den // entry[0].den
+        return len(b.xs), [(s * x, s * y) for x, y in zip(b.xs[::-1], b.ys[::-1] or repeat(0))]
+
+    basis.sort(key=key)
     exponents = [[row[i] for _, row in basis] for i in range(len(polys))]
     return [b for b, _ in basis], exponents
 

@@ -4,6 +4,7 @@ Derived expectations (gcd triviality, squarefree splittings) are checked
 against sympy as an independent implementation before being asserted.
 """
 
+import json
 import random
 import types
 from fractions import Fraction
@@ -13,12 +14,14 @@ import sympy
 from helpers import (
     CONTEXTS,
     load_workloads,
+    random_element,
     random_nonzero_poly,
     sympy_domain,
     sympy_poly,
 )
 
 from k3auto import parsing, polyfield
+from k3auto.ellsurf import WeierstrassModel, analyze_fibers
 from k3auto.errors import (
     ContextMismatchError,
     InvalidPlaceError,
@@ -480,6 +483,22 @@ def test_parse_poly_error_positions():
         assert err.value.position == position, text
 
 
+def test_parse_poly_sum_contract():
+    # a sum is added once, after all its terms: a term's error still
+    # raises with its own message and position, and signs still compose
+    for text, message, position in (("(t^100 + 1) * t^51", "product exceeds the degree cap 150", 12),
+                                    ("t - (2/0)", "zero denominator", 7),
+                                    ("(t^2 + q)", "unbound name 'q'", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, Q)
+        assert err.value.position == position, text
+        assert str(err.value) == f"{message} (at position {position})", text
+    assert parse_poly("1 - -t", Q) == parse_poly("t + 1", Q)
+    assert str(parse_poly("1 - -t", Q)) == "t + 1"
+    assert parse_poly("--t", Q) == Poly.variable(Q)
+    assert str(parse_poly("--t", Q)) == "t"
+
+
 def _fibers_batch_texts():
     """The (text, context) pairs the benchmark's fibers-batch ops parse."""
     texts = []
@@ -528,3 +547,111 @@ def test_poly_str_reparses():
     ]
     for p in samples:
         assert parse_poly(str(p), p.context) == p
+
+
+def test_fiber_op_builds_no_field_element(monkeypatch):
+    # parsing, the model, the analysis and its report read and write the
+    # integer vectors: no coefficient becomes a FieldElement on the way
+    texts = _fibers_batch_texts()
+    pairs = list(zip(texts[::2], texts[1::2]))
+    assert len(pairs) == 48 and all(ca == cb for (_, ca), (_, cb) in pairs)
+
+    def reports():
+        return [json.dumps(analyze_fibers(WeierstrassModel(parse_poly(a, c), parse_poly(b, c)))
+                           .as_report(), sort_keys=True) for (a, c), (b, _) in pairs]
+
+    expected = reports()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("FieldElement built on a fiber op")
+
+    monkeypatch.setattr(Poly, "coefficient", refuse)
+    monkeypatch.setattr(polyfield.FieldElement, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        QW3.element(1)
+    assert reports() == expected
+
+
+def _fraction_pair_key(p: Poly):
+    """The place order reports had when it was read off Fraction pairs:
+    degree, then (x, y) of each coefficient from the top."""
+    return p.degree, tuple((c.x, c.y) for c in reversed(p.coefficients))
+
+
+def _fraction_scalar_text(x: Fraction, y: Fraction) -> str:
+    """x + y*w as it was rendered from its Fraction parts."""
+    if not y:
+        return str(x)
+    w = "w" if abs(y) == 1 else f"{abs(y)}*w"
+    if not x:
+        return w if y > 0 else f"-{w}"
+    return f"({x} {'+' if y > 0 else '-'} {w})"
+
+
+def _fraction_text(p: Poly) -> str:
+    """str(p) as it was rendered from FieldElement coefficients."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coefficient(k)
+        if not c.x and not c.y:
+            continue
+        var = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+        s = _fraction_scalar_text(c.x, c.y)
+        if not var:
+            body, negative = s, False
+        elif not c.y and abs(c.x) == 1:
+            body, negative = var, c.x < 0
+        else:
+            negative = s.startswith("-")
+            body = f"{s.lstrip('-')}*{var}"
+        if not parts:
+            parts.append(("-" if negative else "") + body)
+        else:
+            if not var and body.startswith("-"):
+                negative, body = True, body.lstrip("-")
+            parts.append((" - " if negative else " + ") + body)
+    return "".join(parts) or "0"
+
+
+def test_place_order_and_text_match_fraction_oracles():
+    rng = random.Random(2020)
+    mixed_dens = 0
+    for context in CONTEXTS:
+        special = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1), (0, Fraction(-3, 2))]
+                                       if context.is_quadratic else [])
+        seen = set()
+        for _ in range(60):
+            # order: inputs sharing small random factors, so that the basis
+            # has several monic generators of one degree
+            fs = [random_nonzero_poly(rng, context, max_degree=2, span=5) for _ in range(4)]
+            fs = [f for f in fs if not f.is_constant] or [Poly.variable(context)]
+            inputs = [fs[0] ** 2 * fs[-1], fs[-1] * fs[len(fs) // 2], fs[len(fs) // 2] ** 3]
+            basis, _ = gcdfree_basis(inputs)
+            assert basis == sorted(basis, key=_fraction_pair_key)
+            mixed_dens += any(b.degree == c.degree and b.den != c.den
+                              for i, b in enumerate(basis) for c in basis[i + 1:])
+            # text: random coefficients, with the special ones mixed in
+            coeffs = []
+            for _ in range(rng.randint(0, 5)):
+                if rng.random() < 0.4:
+                    coeffs.append(context.element(*rng.choice(special)))
+                elif rng.random() < 0.2:
+                    coeffs.append(context.zero())
+                else:
+                    coeffs.append(random_element(rng, context))
+            p = Poly.make(context, coeffs)
+            for q in (p, -p, *basis):
+                assert str(q) == _fraction_text(q), (str(q), _fraction_text(q))
+                assert parse_poly(str(q), context) == q
+                seen.add("zero" if q.is_zero else "constant" if q.is_constant
+                         else "negative lead" if q.xs[-1] < 0 else "positive lead")
+                for c in q.coefficients:
+                    assert str(c) == _fraction_scalar_text(c.x, c.y)
+                    if c.y:
+                        seen.add("x and y" if c.x else "y only")
+                    if str(c) in ("1", "-1", "w", "-w"):
+                        seen.add(str(c))
+        assert {"zero", "constant", "negative lead", "positive lead", "1", "-1"} <= seen
+        if context.is_quadratic:
+            assert {"w", "-w", "x and y", "y only"} <= seen
+    assert mixed_dens >= 10
