@@ -21,7 +21,8 @@ from .errors import (
     InconsistentValuationsError,
     InvalidModelError,
 )
-from .polyfield import OMEGA, FieldContext, Place, Poly, _poly, gcdfree_basis, poly_gcd
+from .polyfield import (OMEGA, FieldContext, Place, Poly, _poly, _yun, gcdfree_basis, place_order,
+                        poly_gcd)
 
 NON_MINIMAL = "NON_MINIMAL"
 
@@ -189,10 +190,6 @@ class KodairaFiber:
         as each row of ``kodaira_type_from_valuations`` requires."""
         return self.v_delta - 12 * self.minimalization_steps
 
-    @property
-    def is_singular(self) -> bool:
-        return self.kodaira_type != "I0"
-
     def as_record(self) -> dict:
         return {
             "place": str(self.place),
@@ -234,26 +231,34 @@ def _classify(place: Place, v_a, v_b, v_delta: int) -> KodairaFiber:
     return KodairaFiber(place, symbol, v_a, v_b, v_delta, steps)
 
 
-def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
-    """Classify the fiber over every place in the gcd-free basis of
-    {a, b, Delta} and over infinity, with exact Euler bookkeeping.
+def _finite_places(a: Poly, b: Poly, delta: Poly) -> list[tuple]:
+    """(generator, v_a, v_b, v_Delta) of each place on a, b or Delta.  A
+    place on two of them divides gcd(a, b), as Delta = 4a^3 + 27b^2 (Tate's
+    first step): so for a = 0 or b = 0 the places are b's or a's Yun
+    factors, and for gcd(a, b) = 1 those of a, b and Delta, each on one."""
+    if a.is_zero:
+        return [(f, OMEGA, m, 2 * m) for f, m in _yun(b)]
+    if b.is_zero:
+        return [(f, m, OMEGA, 3 * m) for f, m in _yun(a)]
+    if poly_gcd(a, b).is_constant:
+        return [(f, *(m if j == i else 0 for j in range(3)))
+                for i, p in enumerate((a, b, delta)) if not p.is_constant for f, m in _yun(p)]
+    basis, exponents = gcdfree_basis([a, b, delta])
+    return list(zip(basis, *exponents))
 
-    Finite valuations are the basis's exponent rows (OMEGA for a zero a or
-    b); at infinity they are 4k - deg a, 6k - deg b and 12k - deg Delta."""
+
+def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
+    """Classify the fiber over every finite place (``_finite_places``, in
+    ``place_order``) and over infinity, with exact Euler bookkeeping.
+
+    Finite valuations are Yun multiplicities or the gcd-free basis's rows
+    (OMEGA for a zero a or b); at infinity they are 4k - deg a, 6k - deg b
+    and 12k - deg Delta."""
     k = model.k
     polys = (model.a, model.b, model.delta)
-    fibers = []
-    if any(not p.is_constant for p in polys):
-        basis, exponents = gcdfree_basis([p for p in polys if not p.is_zero])
-        rows = iter(exponents)
-        columns = [[OMEGA] * len(basis) if p.is_zero else next(rows) for p in polys]
-        for generator, v_a, v_b, v_delta in zip(basis, *columns):
-            fibers.append(_classify(Place(generator), v_a, v_b, v_delta))
-
-    at_infinity = [
-        OMEGA if p.is_zero else weight * k - p.degree
-        for p, weight in zip(polys, (4, 6, 12))
-    ]
+    places = place_order(_finite_places(*polys)) if any(not p.is_constant for p in polys) else []
+    fibers = [_classify(Place(g), *v) for g, *v in places]
+    at_infinity = [OMEGA if p.is_zero else w * k - p.degree for p, w in zip(polys, (4, 6, 12))]
     fibers.append(_classify(Place(None), *at_infinity))
 
     fibers_tuple = tuple(fibers)

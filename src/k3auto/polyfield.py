@@ -8,8 +8,9 @@ fiber places.  Scalars x + y*sqrt(d) with Fraction parts are the API edge
 Squarefree structure comes from Yun decomposition and a gcd-free basis;
 there is no irreducible factorization, places of the affine line are
 monic squarefree generators.  ``poly_gcd`` is a modular gcd (Encarnacion,
-J. Symbolic Comput. 20, 1995) whose every answer is proved exactly, with
-Euclid behind it, so no result depends on a prime.
+J. Symbolic Comput. 20, 1995) on word-size primes generated on demand, and
+its only algorithm: a trial division proves every answer, so no result
+depends on a prime.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ContextMismatchError,
@@ -64,16 +65,6 @@ class FieldContext:
         if y and not self.is_quadratic:
             raise ValueError("rational context has no sqrt generator")
         return FieldElement(self, x, y)
-
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def generator(self) -> "FieldElement":
-        """The element w with w^2 = d."""
-        return self.element(0, 1)
 
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
@@ -126,13 +117,6 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         return self._apply(operator.floordiv, other, reflected=True)
-
-    def norm(self) -> Fraction:
-        """Field norm x^2 - d*y^2 (equals x^2 in the rational case)."""
-        return self.x * self.x - (self.context.d or 0) * self.y * self.y
-
-    def inverse(self) -> "FieldElement":
-        return 1 / self
 
     def __str__(self) -> str:
         return str(Poly.constant(self.context, self))
@@ -234,7 +218,7 @@ class Poly:
 
     def coefficient(self, k: int) -> FieldElement:
         if not 0 <= k < len(self.xs):
-            return self.context.zero()
+            return self.context.element(0)
         y = self.ys[k] if self.ys else 0
         return FieldElement(self.context, Fraction(self.xs[k], self.den), Fraction(y, self.den))
 
@@ -339,9 +323,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     def _inverse_lc(self) -> "Poly":
         """1/lc = den*(x - y*w)/(x^2 - d*y^2) for lc = (x + y*w)/den."""
         x, y = self.xs[-1], self.ys[-1] if self.ys else 0
@@ -358,12 +339,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return _poly(self.context, [i * x for i, x in enumerate(self.xs)][1:],
                      [i * y for i, y in enumerate(self.ys)][1:], self.den)
-
-    def evaluate(self, value: FieldElement) -> FieldElement:
-        acc = self.context.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * value + c
-        return acc
 
     def __str__(self) -> str:
         """Terms from the top, each coefficient as ``_scalar_text`` writes
@@ -461,11 +436,28 @@ def _product(p: Poly, q: Poly) -> Poly:
     return _poly(p.context, unpack(px * qx + d * py * qy), ys, p.den * q.den)
 
 
-# The 16 largest primes p = 3 mod 4 below 2^62, largest first: p = 3 mod 4
-# makes d^((p+1)/4) a square root of d whenever d is a square mod p.  Written
-# out so that importing the module searches for nothing.
-MODULAR_PRIMES = tuple(2**62 - k for k in (57, 117, 153, 273, 317, 581, 633, 765, 773,
-                                           777, 813, 981, 993, 1001, 1017, 1197))
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2, 3, 5 and 7 for n = 3 mod 4 above 7,
+    exact below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, 1980)."""
+    return all(pow(a, n // 2, n) in (1, n - 1) for a in (2, 3, 5, 7))
+
+
+# The primes p = 3 mod 4 counting down from 2^30, each searched for once, when
+# a gcd first needs it: a residue below 2^30 is a one-digit int, and p = 3 mod
+# 4 makes d^((p+1)/4) a square root of d whenever d is a square mod p.
+_PRIMES: list[int] = []
+
+
+def modular_primes() -> Iterator[int]:
+    """``_PRIMES`` in order, extended as far as the caller reads; entry i
+    depends only on entry i - 1, so concurrent callers store one value."""
+    for i in count():
+        if i == len(_PRIMES):
+            n = _PRIMES[i - 1] - 4 if i else 2**30 - 1
+            while not _is_prime(n):
+                n -= 4
+            _PRIMES[i:i + 1] = [n]
+        yield _PRIMES[i]
 
 
 @lru_cache(maxsize=1024)
@@ -499,18 +491,29 @@ def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
     return [c * inv % prime for c in a]
 
 
+def _cofactor_mod(a: list[int], g: list[int], prime: int) -> list[int]:
+    """Monic a / g in F_prime[t] for a monic g dividing a: each quotient
+    coefficient takes the place of the top entry it eliminates."""
+    n, r, inv = len(g) - 1, list(a), pow(a[-1], -1, prime)
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top] = r[top] % prime
+        for i, v in enumerate(g[:n], top - n):
+            r[i] -= c * v
+    return [c * inv % prime for c in r[n:]]
+
+
 def _reconstruct(context: FieldContext, residues: list[int], modulus: int) -> Poly | None:
-    """The polynomial whose xs then ys, over one denominator, are congruent
-    to residues: each residue times the denominator so far is lifted to
-    the n/e with |n|, e <= sqrt(modulus/2) (Wang, Guy and Davenport,
-    SIGSAM Bull. 16, 1982), or None is returned when there is none."""
+    """The polynomial whose xs then ys, over one denominator at most
+    sqrt(modulus/2), are congruent to residues: each residue times the
+    denominator so far is lifted to the n/e with |n|, e <= sqrt(modulus/2)
+    (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982), else None."""
     bound, nums, den = isqrt(modulus // 2), [], 1
     for u in residues:
         r0, r1, s0, s1 = modulus, u * den % modulus, 0, 1
         while r1 > bound:
             quo = r0 // r1
             r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
-        if abs(s1) > bound or gcd(r1, s1) != 1:
+        if abs(s1) * den > bound or gcd(r1, s1) != 1:
             return None
         nums = [v * abs(s1) for v in nums] + [r1 if s1 > 0 else -r1]
         den *= abs(s1)
@@ -518,52 +521,66 @@ def _reconstruct(context: FieldContext, residues: list[int], modulus: int) -> Po
     return _poly(context, nums[:half], nums[half:], den)
 
 
-def _modular_gcd(p: Poly, q: Poly) -> Poly | None:
-    """Monic gcd of nonconstant p and q from their images modulo
-    MODULAR_PRIMES, or None when the primes run out first.
+def _modular_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd of nonconstant p and q, deg p >= deg q, from their images
+    modulo ``modular_primes()``.
 
     A prime l is usable when d is a nonzero square r^2 mod l, l divides no
     denominator and both leading coefficients survive w -> r.  Then the
     image gcd has degree >= deg gcd(p, q) (subresultants map to those of
     the images), so an image gcd of 1 proves the inputs coprime.  Else the
     gcds under w -> r and w -> -r, when of one degree, give the x and y
-    parts of gcd(p, q) mod l; those of the lowest degree seen are combined
-    by Chinese remaindering and lifted to a candidate, kept only if it
-    divides p and q: then deg candidate <= deg gcd <= deg image, and the
-    monic candidate of the image's degree is the gcd."""
-    d, modulus, residues, degree = p.context.d, 1, [], len(p.xs) + 1
-    for prime in MODULAR_PRIMES:
+    parts of gcd(p, q) mod l.  When that degree is more than half of
+    deg q, the parts of the monic cofactor q/gcd are lifted instead (Brown,
+    J. ACM 18, 1971), as they are smaller.  The parts of the lowest degree
+    seen are combined by Chinese remaindering, in the symmetric range, and
+    lifted to a candidate when the number of primes combined is a power of
+    two or the new prime changed nothing (Monagan, ISSAC 2004).  A
+    candidate gcd counts only if it divides p and q (a cofactor: if it
+    divides q and its quotient divides p); then deg candidate <= deg gcd <=
+    deg image, and the monic candidate of the image's degree is the gcd.
+    Unlucky primes are finitely many, so the supply reaches it."""
+    d, degree = p.context.d, len(q.xs) + 1
+    for prime in modular_primes():
         roots, images = (0,) if d is None else _square_roots_mod(d, prime), []
         for r in roots:
             a, b = _image(p, prime, r), _image(q, prime, r)
             if a is None or b is None:
                 break
-            images.append(_gcd_mod(a, b, prime))
-            if len(images[-1]) == 1:
+            images.append((_gcd_mod(a, b, prime), b))
+            if len(images[-1][0]) == 1:
                 return Poly.monomial(p.context, 0)
-        sizes = {len(g) for g in images}
+        sizes = {len(g) for g, _ in images}
         if not images or len(images) < len(roots) or len(sizes) > 1 or min(sizes) > degree:
             continue
         if min(sizes) < degree:
-            modulus, residues, degree = 1, [0] * (len(images[0]) * len(images)), min(sizes)
+            degree, modulus, residues, used = min(sizes), 1, repeat(0), 0
+            cofactor = 2 * degree > len(q.xs) + 1
+        images = [_cofactor_mod(b, g, prime) if cofactor else g for g, b in images]
         if d is not None:
             half, inv = (prime + 1) // 2, pow(2 * roots[0], -1, prime)
             images = [[(u + v) * half for u, v in zip(*images)],
                       [(u - v) * inv for u, v in zip(*images)]]
         c = pow(modulus, -1, prime)
-        residues = [u + modulus * ((v - u) * c % prime)
-                    for u, v in zip(residues, [v for image in images for v in image])]
-        modulus *= prime
+        steps = [(v - u) * c % prime for u, v in zip(residues, [v for g in images for v in g])]
+        residues = [u + modulus * (s - prime if 2 * s > prime else s)
+                    for u, s in zip(residues, steps)]
+        modulus, used = modulus * prime, used + 1
+        if used & (used - 1) and any(steps):
+            continue
         candidate = _reconstruct(p.context, residues, modulus)
-        if candidate is not None and (p % candidate).is_zero and (q % candidate).is_zero:
+        if candidate is not None and cofactor:
+            candidate, rest = divmod(q, candidate)
+            candidate = candidate.monic() if rest.is_zero else None
+        if candidate is not None and (p % candidate).is_zero and (
+                cofactor or (q % candidate).is_zero):
             return candidate
-    return None
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) is monic p.  ``_modular_gcd`` decides for two
-    nonconstant inputs when its primes do, and Euclid on the integer
-    vectors otherwise, so the answer never depends on the primes."""
+    """Monic gcd; gcd(p, 0) is monic p.  Two nonconstant inputs go to
+    ``_modular_gcd``, whose answer a trial division proves, so it never
+    depends on the primes."""
     if p.context != q.context:
         raise ContextMismatchError("mixed polynomial contexts")
     if p.is_zero and q.is_zero:
@@ -572,12 +589,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return (q if p.is_zero else p).monic()
     if p.is_constant or q.is_constant:
         return Poly.monomial(p.context, 0)
-    g = _modular_gcd(p, q)
-    if g is not None:
-        return g
-    while not q.is_zero:
-        p, q = q, p % q
-    return p.monic()
+    return _modular_gcd(p, q) if p.degree >= q.degree else _modular_gcd(q, p)
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -613,8 +625,8 @@ def _yun(p: Poly) -> list[tuple[Poly, int]]:
         f = poly_gcd(c, d)
         if not f.is_constant:
             factors.append((f, i))
-        c = c // f
-        d = d // f - c.derivative()
+            c, d = c // f, d // f
+        d = d - c.derivative()
         i += 1
     return factors
 
@@ -650,30 +662,30 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
                 if g.is_constant:
                     refined.append((b, row))
                     continue
-                rest = b // g
+                rest, f = b // g, f // g
                 if not rest.is_constant:
                     refined.append((rest, row))
-                split = row.copy()
-                split[i] += m
-                refined.append((g, split))
-                f = f // g
+                refined.append((g, [e + m if j == i else e for j, e in enumerate(row)]))
             if not f.is_constant:
-                fresh = [0] * len(polys)
-                fresh[i] = m
-                refined.append((f, fresh))
+                refined.append((f, [m if j == i else 0 for j in range(len(polys))]))
             basis = refined
 
-    # degree, then (x, y) of each coefficient from the top, over one
-    # denominator: the order of the Fraction pairs
-    den = lcm(*[b.den for b, _ in basis])
+    basis = place_order(basis)
+    exponents = [[row[i] for _, row in basis] for i in range(len(polys))]
+    return [b for b, _ in basis], exponents
+
+
+def place_order(places: list[tuple]) -> list[tuple]:
+    """Tuples headed by distinct monic generators in the fiber order:
+    degree, then (x, y) of each coefficient from the top, over one
+    denominator (the order of the Fraction pairs)."""
+    den = lcm(*[b.den for b, *_ in places])
 
     def key(entry):
         b, s = entry[0], den // entry[0].den
         return len(b.xs), [(s * x, s * y) for x, y in zip(b.xs[::-1], b.ys[::-1] or repeat(0))]
 
-    basis.sort(key=key)
-    exponents = [[row[i] for _, row in basis] for i in range(len(polys))]
-    return [b for b, _ in basis], exponents
+    return sorted(places, key=key)
 
 
 @dataclass(frozen=True)
@@ -682,16 +694,14 @@ class Place:
     generator, or the place at infinity (generator None); the generator's
     degree counts geometric points.  A plain record: ``valuation`` checks
     a place a caller passes in, the fiber analysis takes its places from
-    ``gcdfree_basis``."""
+    Yun factors or ``gcdfree_basis``, squarefree by construction."""
 
     generator: Poly | None
 
     @property
     def degree(self) -> int:
         """Number of geometric points over this place."""
-        if self.generator is None:
-            return 1
-        return self.generator.degree
+        return 1 if self.generator is None else self.generator.degree
 
     def __str__(self) -> str:
         return "infinity" if self.generator is None else str(self.generator)

@@ -4,16 +4,24 @@ Derived expectations (gcd triviality, squarefree splittings) are checked
 against sympy as an independent implementation before being asserted.
 """
 
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 import sympy
 from helpers import (
     CONTEXTS,
+    divides,
     load_workloads,
+    norm,
     random_element,
     random_nonzero_poly,
     sympy_domain,
@@ -69,31 +77,31 @@ def test_rational_field_arithmetic():
 
 
 def test_quadratic_field_arithmetic():
-    w = QW3.generator()
+    w = QW3.element(0, 1)
     assert (w * w).x == -3
     s = QW3.element(0, Fraction(2, 9))
     # the constant with s^2 = -4/27
     assert (s * s).x == Fraction(-4, 27)
     assert (s * s).y == 0
     e = QW3.element(Fraction(1, 2), Fraction(-3, 7))
-    assert (e * e.inverse()) == QW3.one()
-    assert e.norm() == Fraction(1, 4) - (-3) * Fraction(9, 49)
+    assert e * (1 / e) == QW3.element(1)
+    assert norm(e) == Fraction(1, 4) - (-3) * Fraction(9, 49)
 
 
 def test_norm_is_multiplicative():
     a = QW3.element(2, Fraction(1, 3))
     b = QW3.element(Fraction(-5, 2), 4)
-    assert (a * b).norm() == a.norm() * b.norm()
+    assert norm(a * b) == norm(a) * norm(b)
 
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        QW3.zero().inverse()
+        1 / QW3.element(0)
 
 
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
-        Q.one() + QW3.one()
+        Q.element(1) + QW3.element(1)
     with pytest.raises(ContextMismatchError):
         Poly.variable(Q) * Poly.variable(QW3)
 
@@ -167,9 +175,9 @@ def _euclid(p, q):
     return a.monic()
 
 
-def _spy_image_gcds(monkeypatch, primes=None):
+def _spy_image_gcds(monkeypatch, primes=()):
     """The (prime, image gcd) pairs poly_gcd computes, appended as it runs;
-    with primes given, the module's prime list is replaced by them."""
+    the given primes are tried first, then the generated supply."""
     calls = []
     gcd_mod = polyfield._gcd_mod
 
@@ -178,10 +186,18 @@ def _spy_image_gcds(monkeypatch, primes=None):
         calls.append((prime, image))
         return image
 
-    if primes is not None:
-        monkeypatch.setattr(polyfield, "MODULAR_PRIMES", primes)
+    monkeypatch.setattr(polyfield, "modular_primes",
+                        lambda: itertools.chain(primes, GENERATED_PRIMES()))
     monkeypatch.setattr(polyfield, "_gcd_mod", spy)
     return calls
+
+
+GENERATED_PRIMES = polyfield.modular_primes
+
+
+def _first_usable_prime(d):
+    """The first generated prime modulo which d is a nonzero square."""
+    return next(l for l in GENERATED_PRIMES() if d is None or pow(d, l // 2, l) == 1)
 
 
 def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
@@ -205,32 +221,64 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
             certified += [image for _, image in images[:1]] == [[1]]
     assert certified >= 24
     # shared factors with 64-bit coefficients and a w part need several
-    # primes; at 400 bits the usable primes run out and Euclid decides
+    # primes, and those with 400-bit ones more: the primes decide both.
+    # Cofactors of degree >= 3 keep the image gcd at most half the degree
+    # of either input, so the gcd itself is lifted
+    def cofactor():
+        while True:
+            f = random_nonzero_poly(rng, context, max_degree=4)
+            if f.degree >= 3:
+                return f
+
     for context in (QW3, FieldContext(d=5)):
         domain = sympy_domain(context)
-        usable = sum(pow(context.d, (l - 1) // 2, l) == 1 for l in polyfield.MODULAR_PRIMES)
-        for bits, primes in ((64, range(3, usable)), (400, [usable])):
+        used = []
+        for bits in (64, 400):
             def big():
                 return rng.getrandbits(bits) - 2 ** (bits - 1)
             common = Poly.make(context, [context.element(big(), big()) for _ in range(3)])
-            p, q = (random_nonzero_poly(rng, context, max_degree=4) * common
-                    for _ in range(2))
+            p, q = cofactor() * common, cofactor() * common
             images.clear()
             g = poly_gcd(p, q)
             assert g == _euclid(p, q), (p, q)
-            assert common.monic().divides(g) and g.ys
+            assert divides(common.monic(), g) and g.ys
             expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
             assert sympy_poly(g, domain) == expected, (p, q)
-            assert len({prime for prime, _ in images}) in primes, bits
+            used.append(len({prime for prime, _ in images}))
+        assert 3 <= used[0] < used[1], used
+
+
+LADDER_B = ("(123456789012345678901234567890123456789/97*t^6"
+            " - 98765432109876543210987654321*w*t^3"
+            " + 55555555555555555555555555/7*t + 1234567890123456789*w)")
+
+
+@pytest.mark.parametrize("d", [5, -3])
+def test_poly_gcd_lifts_the_cofactor_of_a_large_shared_factor(monkeypatch, d):
+    # p = B^4 * (t^2 + 1) and p' share B^3, of degree 18 with coefficients
+    # of hundreds of bits; the image gcd has more than half the degree of
+    # p', so the cofactor p'/B^3, of degree 7, is lifted instead
+    context = FieldContext(d=d)
+    p = parse_poly(f"{LADDER_B}^4 * (t^2 + 1)", context)
+    cofactors = []
+    cofactor_mod = polyfield._cofactor_mod
+    monkeypatch.setattr(polyfield, "_cofactor_mod",
+                        lambda *args: cofactors.append(cofactor_mod(*args)) or cofactors[-1])
+    g = poly_gcd(p, p.derivative())
+    assert g == parse_poly(f"{LADDER_B}^3", context).monic() == _euclid(p, p.derivative())
+    assert cofactors and {len(c) - 1 for c in cofactors} == {7}
+    domain = sympy_domain(context)
+    expected = sympy_poly(p, domain).gcd(sympy_poly(p.derivative(), domain)).monic()
+    assert sympy_poly(g, domain) == expected
 
 
 @pytest.mark.parametrize("d, primes", [(None, (103, 107, 127)), (-3, (103, 107, 127)),
                                        (5, (139, 179, 199))])
 def test_unlucky_prime_is_outvoted(monkeypatch, d, primes):
     # modulo the first prime l, t + l and t + 2l both map to t, so the image
-    # gcd t^2 * (shared) has degree 3, one above the gcd; its lift divides
-    # neither input, and the next usable prime, of degree 2, starts the
-    # residues afresh
+    # gcd t^2 * (shared) has degree 3, one above the gcd; its lift (q itself,
+    # from the cofactor 1) does not divide p, and the next usable prime, of
+    # degree 2, starts the residues afresh
     context = FieldContext(d=d)
     shared = "t - w" if d else "t - 1"
     p, q = (parse_poly(f"t * ({shared}) * (t + {k * primes[0]})", context) for k in (1, 2))
@@ -243,46 +291,66 @@ def test_unlucky_prime_is_outvoted(monkeypatch, d, primes):
     assert len(images[-1][1]) - 1 == 2
 
 
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
 def test_modular_primes_are_primes_3_mod_4():
-    assert len(set(polyfield.MODULAR_PRIMES)) == len(polyfield.MODULAR_PRIMES)
-    for prime in polyfield.MODULAR_PRIMES:
-        assert sympy.isprime(prime) and prime % 4 == 3, prime
-        assert 2 ** 61 < prime < 2 ** 62
+    oracle = (n for n in range(2 ** 30 - 1, 0, -4) if _is_prime_by_trial_division(n))
+    first = list(itertools.islice(polyfield.modular_primes(), 20))
+    assert first == list(itertools.islice(oracle, 20))
+    # strong pseudoprimes = 3 mod 4 to the bases 2, to 2 and 3, and to all
+    # four: Miller-Rabin rejects the first two kinds, and is exact only
+    # below the third
+    for n, bases in ((2047, 1), (42799, 1), (90751, 1), (1530787, 2), (3116107, 2),
+                     (3215031751, 4)):
+        assert not _is_prime_by_trial_division(n)
+        passed = [pow(a, n // 2, n) in (1, n - 1) for a in (2, 3, 5, 7)]
+        assert passed == [True] * bases + [False] * (4 - bases), n
+        assert polyfield._is_prime(n) == (bases == 4)
+    assert 3215031751 > 2 ** 31
 
 
-def _prime_used(monkeypatch, primes, p, q):
-    """(gcd, the one prime whose images were computed, or None) with the
-    module's prime list replaced by primes."""
+def test_importing_polyfield_generates_no_prime():
+    code = "import k3auto.polyfield as p, k3auto.cli; print(len(p._PRIMES))"
+    src = str(Path(polyfield.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout == "0\n", result.stderr
+
+
+def _primes_used(monkeypatch, primes, p, q):
+    """(gcd, the primes whose images were computed, in order) with the given
+    primes tried before the generated supply."""
     images = _spy_image_gcds(monkeypatch, primes)
     g = poly_gcd(p, q)
-    used = {prime for prime, _ in images}
-    assert len(used) <= 1
-    return g, (used.pop() if used else None)
+    return g, list(dict.fromkeys(prime for prime, _ in images))
 
 
 def test_certificate_skips_prime_dividing_a_denominator(monkeypatch):
     p = parse_poly("t^2 + 1/7", Q)
     q = parse_poly("t + 1", Q)
-    g, prime = _prime_used(monkeypatch, (7, 11), p, q)
-    assert g == Poly.constant(Q, 1) and prime == 11
-    g, prime = _prime_used(monkeypatch, (7,), p, q)
-    assert g == Poly.constant(Q, 1) and prime is None
+    g, used = _primes_used(monkeypatch, (7, 11), p, q)
+    assert g == Poly.constant(Q, 1) and used == [11]
+    g, used = _primes_used(monkeypatch, (7,), p, q)
+    assert g == Poly.constant(Q, 1) and used == [_first_usable_prime(None)]
 
 
 def test_certificate_needs_d_a_nonzero_square(monkeypatch):
     # -3 is 0 mod 3 and a non-residue mod 11, a square mod 7 (2^2 = 4 = -3);
     # 5 is a non-residue mod 7 and a square mod 11 (4^2 = 16 = 5).  Mod 11
-    # the Q(sqrt(5)) images share the root 4 (16 + 16 + 1 = 33), so Euclid
-    # decides, and finds the gcd 1
+    # the Q(sqrt(5)) images share the root 4 (16 + 16 + 1 = 33), so the
+    # next usable prime decides, and finds the gcd 1
     qr5 = FieldContext(d=5)
-    for context, primes, expected in ((QW3, (3, 11, 7), 7), (qr5, (7, 11), 11)):
+    for context, primes, expected in ((QW3, (3, 11, 7), [7]),
+                                      (qr5, (7, 11), [11, _first_usable_prime(5)])):
         p = parse_poly("t^2 + w*t + 1", context)
         q = parse_poly("t - w", context)
-        g, prime = _prime_used(monkeypatch, primes, p, q)
-        assert g == _euclid(p, q) and prime == expected
+        g, used = _primes_used(monkeypatch, primes, p, q)
+        assert g == _euclid(p, q) and used == expected
     p, q = parse_poly("t^2 + w", QW3), parse_poly("t + 2", QW3)
-    g, prime = _prime_used(monkeypatch, (3, 11), p, q)
-    assert g == Poly.constant(QW3, 1) and prime is None
+    g, used = _primes_used(monkeypatch, (3, 11), p, q)
+    assert g == Poly.constant(QW3, 1) and used == [_first_usable_prime(-3)]
 
 
 def test_certificate_skips_prime_killing_a_leading_coefficient(monkeypatch):
@@ -292,10 +360,54 @@ def test_certificate_skips_prime_killing_a_leading_coefficient(monkeypatch):
     p = parse_poly("(7*t + 1) * (t + 1)", Q)
     q = parse_poly("(7*t + 1) * (t + 2)", Q)
     shared = parse_poly("t + 1/7", Q)
-    for primes, expected in (((7,), None), ((7, 11), 11)):
+    first = _first_usable_prime(None)
+    for primes, expected in (((7,), [first]), ((7, 11), [11, first])):
         for left, right in ((p, q), (q, p)):
-            g, prime = _prime_used(monkeypatch, primes, left, right)
-            assert g == shared and prime == expected
+            g, used = _primes_used(monkeypatch, primes, left, right)
+            assert g == shared and used == expected
+
+
+def test_lift_is_tried_when_the_image_stops_changing(monkeypatch):
+    # the monic gcd t^2 + n*t + 3 with n near 2^35: its image is exact after
+    # two 30-bit primes, so the third changes nothing, and the lift tried
+    # then succeeds, before the next power of two
+    lifts = []
+    reconstruct = polyfield._reconstruct
+    monkeypatch.setattr(polyfield, "_reconstruct",
+                        lambda *args: lifts.append(args[2]) or reconstruct(*args))
+    for n in (2 ** 35, 2 ** 35 + 12345, -(2 ** 36) + 7):
+        shared = f"t^2 + {n}*t + 3"
+        p, q = (parse_poly(f"({shared}) * (t^3 + {c})", Q) for c in (2, -5))
+        images = _spy_image_gcds(monkeypatch)
+        lifts.clear()
+        assert poly_gcd(p, q) == parse_poly(shared, Q) == _euclid(p, q)
+        assert len(images) == len(lifts) == 3, n
+
+
+def test_cofactor_counts_only_if_it_divides_the_smaller_input(monkeypatch):
+    # gcd (t + 1)(t + 2) has degree 2 > 3/2, so q's cofactor t + 3 is lifted.
+    # A wrong lift t + 4 leaves q = (t^2 + 2t + 3)(t + 4) - 6: its quotient
+    # divides p, and only the remainder rules it out
+    p = parse_poly("(t^2 + 2*t + 3) * (t + 1) * (t + 2)", Q)
+    q = parse_poly("(t + 1) * (t + 2) * (t + 3)", Q)
+    reconstruct, wrong = polyfield._reconstruct, [parse_poly("t + 4", Q)]
+    monkeypatch.setattr(polyfield, "_reconstruct",
+                        lambda *args: wrong.pop() if wrong else reconstruct(*args))
+    assert poly_gcd(p, q) == parse_poly("(t + 1) * (t + 2)", Q) == _euclid(p, q)
+    assert not wrong
+
+
+def test_reconstruction_bounds_the_common_denominator():
+    # 1/1009 and 1/1013 each lift modulo one 30-bit prime l (both below
+    # sqrt(l/2) ~ 23170), but their common denominator does not: a lift whose
+    # denominator outgrows the bound is refused, as a wrong lift of this kind,
+    # for B^20 * (t^2 + 1) and its derivative over Q(sqrt(-3)), made its trial
+    # division ~50x dearer than the right one's; two primes lift it
+    l, m = itertools.islice(GENERATED_PRIMES(), 2)
+    residues = [pow(e, -1, l * m) for e in (1009, 1013)]
+    assert polyfield._reconstruct(Q, [u % l for u in residues], l) is None
+    expected = Poly.make(Q, [Fraction(1, 1009), Fraction(1, 1013)])
+    assert polyfield._reconstruct(Q, residues, l * m) == expected
 
 
 def test_generic_discriminant_is_squarefree():
@@ -443,7 +555,7 @@ def test_parse_poly_basics():
     p = parse_poly("t^11 - 1", Q)
     assert p.degree == 11
     assert p.coefficient(0) == Q.element(-1)
-    assert p.coefficient(11) == Q.one()
+    assert p.coefficient(11) == Q.element(1)
     q = parse_poly("4 + 27*(t - s)^2", Q, bindings={"s": 1})
     assert q == parse_poly("27*t^2 - 54*t + 31", Q)
 
@@ -636,7 +748,7 @@ def test_place_order_and_text_match_fraction_oracles():
                 if rng.random() < 0.4:
                     coeffs.append(context.element(*rng.choice(special)))
                 elif rng.random() < 0.2:
-                    coeffs.append(context.zero())
+                    coeffs.append(context.element(0))
                 else:
                     coeffs.append(random_element(rng, context))
             p = Poly.make(context, coeffs)

@@ -10,6 +10,7 @@ import sympy
 from helpers import (
     CONTEXTS,
     congruent_gram,
+    divides,
     random_element,
     random_gram,
     random_model,
@@ -97,8 +98,8 @@ def test_gcd_divides_both_arguments():
         q = common * random_nonzero_poly(rng, context, max_degree=4)
         g = poly_gcd(p, q)
         assert g == g.monic()
-        assert g.divides(p) and g.divides(q)
-        assert common.monic().divides(g)
+        assert divides(g, p) and divides(g, q)
+        assert divides(common.monic(), g)
 
 
 def test_lattice_invariants_are_congruence_invariant():
@@ -145,7 +146,7 @@ def test_fiber_euler_number_is_the_minimal_discriminant_valuation(monkeypatch):
         m = random_model(rng, rng.choice(CONTEXTS), max_degree=5)
         models += with_zero_coefficient_variants(m)
         # a and b times g^4 and g^6 for a linear g: one (4, 6, 12)-step at g
-        g = Poly.make(m.context, [random_element(rng, m.context), m.context.one()])
+        g = Poly.make(m.context, [random_element(rng, m.context), m.context.element(1)])
         models.append(WeierstrassModel(m.a * g ** 4, m.b * g ** 6))
     calls = []
     monkeypatch.setattr(ellsurf, "fiber_euler_number", calls.append)
@@ -173,7 +174,7 @@ def test_euler_bookkeeping_on_random_models():
             # finite places are monic, squarefree and pairwise coprime
             generators = [f.place.generator for f in analysis.fibers[:-1]]
             for i, g in enumerate(generators):
-                assert g.leading_coefficient() == context.one()
+                assert g.leading_coefficient() == context.element(1)
                 assert is_squarefree(g)
                 assert all(poly_gcd(g, h).is_constant for h in generators[i + 1:])
             # finite valuations from the exponent matrix match valuation()
@@ -209,7 +210,7 @@ def test_fiber_analysis_runs_without_scalar_arithmetic(monkeypatch):
               for variant in with_zero_coefficient_variants(
                   random_model(rng, rng.choice(CONTEXTS), max_degree=6))]
     reports = [analyze_fibers(m).as_report() for m in models]
-    for name in ("__mul__", "__add__", "inverse"):
+    for name in ("__mul__", "__add__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(polyfield.FieldElement, name, refuse)
     assert [analyze_fibers(m).as_report() for m in models] == reports
 
@@ -233,7 +234,8 @@ def _shared_factor_model(rng, context):
         a = f ** rng.randint(0, 3) * g ** rng.randint(0, 2)
         b = f ** rng.randint(0, 3) * g ** rng.randint(0, 1) * h ** rng.randint(0, 2)
         try:
-            return WeierstrassModel(a.scale(random_element(rng, context, 3) or context.one()), b)
+            scale = random_element(rng, context, 3) or context.element(1)
+            return WeierstrassModel(a.scale(scale), b)
         except InvalidModelError:
             continue
 
@@ -262,6 +264,64 @@ def test_fiber_places_match_sympy_factorization():
             for fiber, g, factors in zip(finite, places, held):
                 if fiber.v_delta:
                     assert g == sympy.prod(factors), (m, fiber)
+
+
+def _basis_places(m):
+    """(generator, v_a, v_b, v_Delta) of every finite place from the general
+    gcd-free basis of the nonzero ones of {a, b, Delta}, OMEGA for a zero
+    a or b: the reference for the branches of ``_finite_places``."""
+    polys = (m.a, m.b, m.delta)
+    if all(p.is_constant for p in polys):
+        return []
+    basis, exponents = polyfield.gcdfree_basis([p for p in polys if not p.is_zero])
+    rows = iter(exponents)
+    columns = [[OMEGA] * len(basis) if p.is_zero else next(rows) for p in polys]
+    return list(zip(basis, *columns))
+
+
+def _sharing_model(rng, context):
+    """a and b sharing g = h1^i * h2^j of degree 1-3, h1 and h2 random of
+    degree 1 (h2 of degree 1 or 2), with further factors of several
+    multiplicities on each side."""
+    while True:
+        h1, h2 = (random_nonzero_poly(rng, context, max_degree=k, span=4) for k in (1, 2))
+        if h1.degree != 1 or h2.is_constant:
+            continue
+        f1, f2 = (random_nonzero_poly(rng, context, max_degree=2, span=4) for _ in range(2))
+        a = h1 ** rng.randint(1, 4) * h2 ** rng.randint(0, 2) * f1 ** rng.randint(0, 2)
+        b = h1 ** rng.randint(1, 3) * h2 ** rng.randint(1, 2) * f2 ** rng.randint(0, 3)
+        g = poly_gcd(a, b)
+        if 1 <= g.degree <= 3:
+            try:
+                return WeierstrassModel(a, b)
+            except InvalidModelError:
+                continue
+
+
+def test_fiber_place_branches_match_the_general_basis(monkeypatch):
+    # Delta = 4a^3 + 27b^2 puts every place shared by two of {a, b, Delta}
+    # on gcd(a, b), so the fiber analysis reads the places off Yun factors
+    # unless gcd(a, b) is nonconstant; each branch must give the general
+    # basis's places, rows and order
+    basis_calls = []
+    monkeypatch.setattr(ellsurf, "gcdfree_basis",
+                        lambda polys: basis_calls.append(polys) or polyfield.gcdfree_basis(polys))
+    rng = random.Random(1971)
+    seen = set()
+    for context in CONTEXTS:
+        for i in range(16):
+            m = (_sharing_model if i % 2 else random_model)(rng, context)
+            for variant in with_zero_coefficient_variants(m):
+                a, b = variant.a, variant.b
+                branch = ("a = 0" if a.is_zero else "b = 0" if b.is_zero
+                          else "coprime" if poly_gcd(a, b).is_constant else "general")
+                seen.add(branch)
+                basis_calls.clear()
+                finite = analyze_fibers(variant).fibers[:-1]
+                assert [(f.place.generator, f.v_a, f.v_b, f.v_delta) for f in finite] == \
+                    _basis_places(variant), (variant, branch)
+                assert len(basis_calls) == (branch == "general"), branch
+    assert seen == {"a = 0", "b = 0", "coprime", "general"}
 
 
 def test_rescaling_leaves_analysis_unchanged():
