@@ -190,6 +190,10 @@ class KodairaFiber:
         as each row of ``kodaira_type_from_valuations`` requires."""
         return self.v_delta - 12 * self.minimalization_steps
 
+    @property
+    def is_singular(self) -> bool:
+        return self.kodaira_type != "I0"
+
     def as_record(self) -> dict:
         return {
             "place": str(self.place),
@@ -232,19 +236,22 @@ def _classify(place: Place, v_a, v_b, v_delta: int) -> KodairaFiber:
 
 
 def _finite_places(a: Poly, b: Poly, delta: Poly) -> list[tuple]:
-    """(generator, v_a, v_b, v_Delta) of each place on a, b or Delta.  A
-    place on two of them divides gcd(a, b), as Delta = 4a^3 + 27b^2 (Tate's
-    first step): so for a = 0 or b = 0 the places are b's or a's Yun
-    factors, and for gcd(a, b) = 1 those of a, b and Delta, each on one."""
+    """(generator, v_a, v_b, v_Delta) of each place on a, b or Delta, in
+    ``place_order``.  A place on two of them divides gcd(a, b), as Delta =
+    4a^3 + 27b^2 (Tate's first step): so for a = 0 or b = 0 the places are
+    b's or a's Yun factors, and for gcd(a, b) = 1 those of a, b and Delta,
+    each on one; else the gcd-free basis, which comes sorted."""
     if a.is_zero:
-        return [(f, OMEGA, m, 2 * m) for f, m in _yun(b)]
-    if b.is_zero:
-        return [(f, m, OMEGA, 3 * m) for f, m in _yun(a)]
-    if poly_gcd(a, b).is_constant:
-        return [(f, *(m if j == i else 0 for j in range(3)))
-                for i, p in enumerate((a, b, delta)) if not p.is_constant for f, m in _yun(p)]
-    basis, exponents = gcdfree_basis([a, b, delta])
-    return list(zip(basis, *exponents))
+        places = [(f, OMEGA, m, 2 * m) for f, m in _yun(b)]
+    elif b.is_zero:
+        places = [(f, m, OMEGA, 3 * m) for f, m in _yun(a)]
+    elif poly_gcd(a, b).is_constant:
+        places = [(f, *(m if j == i else 0 for j in range(3)))
+                  for i, p in enumerate((a, b, delta)) if not p.is_constant for f, m in _yun(p)]
+    else:
+        basis, exponents = gcdfree_basis([a, b, delta])
+        return list(zip(basis, *exponents))
+    return place_order(places)
 
 
 def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
@@ -256,7 +263,7 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
     and 12k - deg Delta."""
     k = model.k
     polys = (model.a, model.b, model.delta)
-    places = place_order(_finite_places(*polys)) if any(not p.is_constant for p in polys) else []
+    places = _finite_places(*polys) if any(not p.is_constant for p in polys) else []
     fibers = [_classify(Place(g), *v) for g, *v in places]
     at_infinity = [OMEGA if p.is_zero else w * k - p.degree for p, w in zip(polys, (4, 6, 12))]
     fibers.append(_classify(Place(None), *at_infinity))

@@ -597,3 +597,19 @@ def _solve_on_line(gram, base, direction, constraints, norm):
     return [
         tuple(bi + k * di for bi, di in zip(base, direction)) for k in sorted(set(roots))
     ]
+
+
+def brute_force_even_rank2(det_target: int, entry_bound: int) -> list[Lattice]:
+    """All even rank-2 Gram matrices [[2a, b], [b, 2c]] with entries
+    |a|, |b|, |c| <= entry_bound and determinant 4ac - b^2 = det_target."""
+    if entry_bound < 0:
+        raise LatticeError("entry bound must be nonnegative")
+    out = []
+    span = range(-entry_bound, entry_bound + 1)
+    for a in span:
+        for b in span:
+            bb = b * b
+            for c in span:
+                if 4 * a * c - bb == det_target:
+                    out.append(Lattice(((2 * a, b), (b, 2 * c))))
+    return out

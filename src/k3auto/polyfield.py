@@ -66,6 +66,16 @@ class FieldContext:
             raise ValueError("rational context has no sqrt generator")
         return FieldElement(self, x, y)
 
+    def zero(self) -> "FieldElement":
+        return self.element(0)
+
+    def one(self) -> "FieldElement":
+        return self.element(1)
+
+    def generator(self) -> "FieldElement":
+        """The element w with w^2 = d."""
+        return self.element(0, 1)
+
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
 
@@ -117,6 +127,13 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         return self._apply(operator.floordiv, other, reflected=True)
+
+    def norm(self) -> Fraction:
+        """Field norm x^2 - d*y^2 (equals x^2 in the rational case)."""
+        return self.x * self.x - (self.context.d or 0) * self.y * self.y
+
+    def inverse(self) -> "FieldElement":
+        return 1 / self
 
     def __str__(self) -> str:
         return str(Poly.constant(self.context, self))
@@ -218,7 +235,7 @@ class Poly:
 
     def coefficient(self, k: int) -> FieldElement:
         if not 0 <= k < len(self.xs):
-            return self.context.element(0)
+            return self.context.zero()
         y = self.ys[k] if self.ys else 0
         return FieldElement(self.context, Fraction(self.xs[k], self.den), Fraction(y, self.den))
 
@@ -323,6 +340,9 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def divides(self, other: "Poly") -> bool:
+        return (other % self).is_zero
+
     def _inverse_lc(self) -> "Poly":
         """1/lc = den*(x - y*w)/(x^2 - d*y^2) for lc = (x + y*w)/den."""
         x, y = self.xs[-1], self.ys[-1] if self.ys else 0
@@ -339,6 +359,12 @@ class Poly:
     def derivative(self) -> "Poly":
         return _poly(self.context, [i * x for i, x in enumerate(self.xs)][1:],
                      [i * y for i, y in enumerate(self.ys)][1:], self.den)
+
+    def evaluate(self, value: FieldElement) -> FieldElement:
+        acc = self.context.zero()
+        for c in reversed(self.coefficients):
+            acc = acc * value + c
+        return acc
 
     def __str__(self) -> str:
         """Terms from the top, each coefficient as ``_scalar_text`` writes
@@ -437,33 +463,46 @@ def _product(p: Poly, q: Poly) -> Poly:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the bases 2, 3, 5 and 7 for n = 3 mod 4 above 7,
-    exact below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, 1980)."""
-    return all(pow(a, n // 2, n) in (1, n - 1) for a in (2, 3, 5, 7))
+    """Miller-Rabin on the bases 2, 3, 5 and 7 for odd n above 7, with
+    n - 1 = 2^s * (n >> s), exact below 3,215,031,751 (Pomerance, Selfridge
+    and Wagstaff, 1980)."""
+    s = (n - 1 & 1 - n).bit_length() - 1
+    return all(pow(a, n >> s, n) in (1, n - 1) or n - 1 in [pow(a, n >> j, n) for j in range(1, s)]
+               for a in (2, 3, 5, 7))
 
 
-# The primes p = 3 mod 4 counting down from 2^30, each searched for once, when
-# a gcd first needs it: a residue below 2^30 is a one-digit int, and p = 3 mod
-# 4 makes d^((p+1)/4) a square root of d whenever d is a square mod p.
-_PRIMES: list[int] = []
+# Primes counting down from 2^30, each searched for once, when a gcd first
+# needs it: a residue below 2^30 is a one-digit int.  Those p = 3 mod 4, where
+# d^((p+1)/4) is a square root of d whenever d is a square mod p, serve every
+# field but Q(sqrt(-1)), as -1 is a square modulo none of them; it takes the
+# p = 5 mod 8 (key 8), where ``_square_roots_mod`` uses Atkin's formula.
+_PRIMES: dict[int, list[int]] = {4: [], 8: []}
 
 
-def modular_primes() -> Iterator[int]:
-    """``_PRIMES`` in order, extended as far as the caller reads; entry i
-    depends only on entry i - 1, so concurrent callers store one value."""
+def modular_primes(d: int | None) -> Iterator[int]:
+    """The primes for Q(sqrt(d)) in order, kept in ``_PRIMES`` and extended
+    as far as the caller reads; entry i depends only on entry i - 1, so
+    concurrent callers store one value."""
+    step = 8 if d == -1 else 4
+    primes = _PRIMES[step]
     for i in count():
-        if i == len(_PRIMES):
-            n = _PRIMES[i - 1] - 4 if i else 2**30 - 1
+        if i == len(primes):
+            n = primes[i - 1] - step if i else 2**30 - step // 2 + 1
             while not _is_prime(n):
-                n -= 4
-            _PRIMES[i:i + 1] = [n]
-        yield _PRIMES[i]
+                n -= step
+            primes[i:i + 1] = [n]
+        yield primes[i]
 
 
 @lru_cache(maxsize=1024)
 def _square_roots_mod(d: int, prime: int) -> tuple[int, ...]:
-    """Square roots of d modulo a prime = 3 mod 4; none if d is no nonzero square."""
-    r = pow(d, (prime + 1) // 4, prime)
+    """Square roots of d modulo a prime = 3 mod 4 or = 5 mod 8 (Atkin, 1992);
+    none if d is no nonzero square."""
+    if prime % 4 == 3:
+        r = pow(d, (prime + 1) // 4, prime)
+    else:
+        v = pow(2 * d, prime // 8, prime)
+        r = d * v * (2 * d * v * v - 1) % prime
     return (r, prime - r) if d % prime and r * r % prime == d % prime else ()
 
 
@@ -523,7 +562,7 @@ def _reconstruct(context: FieldContext, residues: list[int], modulus: int) -> Po
 
 def _modular_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd of nonconstant p and q, deg p >= deg q, from their images
-    modulo ``modular_primes()``.
+    modulo ``modular_primes(d)``.
 
     A prime l is usable when d is a nonzero square r^2 mod l, l divides no
     denominator and both leading coefficients survive w -> r.  Then the
@@ -533,15 +572,16 @@ def _modular_gcd(p: Poly, q: Poly) -> Poly:
     parts of gcd(p, q) mod l.  When that degree is more than half of
     deg q, the parts of the monic cofactor q/gcd are lifted instead (Brown,
     J. ACM 18, 1971), as they are smaller.  The parts of the lowest degree
-    seen are combined by Chinese remaindering, in the symmetric range, and
-    lifted to a candidate when the number of primes combined is a power of
-    two or the new prime changed nothing (Monagan, ISSAC 2004).  A
-    candidate gcd counts only if it divides p and q (a cofactor: if it
-    divides q and its quotient divides p); then deg candidate <= deg gcd <=
-    deg image, and the monic candidate of the image's degree is the gcd.
-    Unlucky primes are finitely many, so the supply reaches it."""
+    seen are combined by Chinese remaindering and lifted to a candidate
+    when the number of primes combined is a power of two, so all the lifts
+    cost at most twice the last.  A candidate gcd counts only if it divides
+    p and q (a cofactor: if it divides q and its quotient divides p); then
+    deg candidate <= deg gcd <= deg image, and the monic candidate of the
+    image's degree is the gcd.
+    Unlucky primes are finitely many, and d is a square modulo infinitely
+    many primes of its supply, so the supply reaches it."""
     d, degree = p.context.d, len(q.xs) + 1
-    for prime in modular_primes():
+    for prime in modular_primes(d):
         roots, images = (0,) if d is None else _square_roots_mod(d, prime), []
         for r in roots:
             a, b = _image(p, prime, r), _image(q, prime, r)
@@ -562,11 +602,10 @@ def _modular_gcd(p: Poly, q: Poly) -> Poly:
             images = [[(u + v) * half for u, v in zip(*images)],
                       [(u - v) * inv for u, v in zip(*images)]]
         c = pow(modulus, -1, prime)
-        steps = [(v - u) * c % prime for u, v in zip(residues, [v for g in images for v in g])]
-        residues = [u + modulus * (s - prime if 2 * s > prime else s)
-                    for u, s in zip(residues, steps)]
+        residues = [u + modulus * ((v - u) * c % prime)
+                    for u, v in zip(residues, [v for g in images for v in g])]
         modulus, used = modulus * prime, used + 1
-        if used & (used - 1) and any(steps):
+        if used & (used - 1):
             continue
         candidate = _reconstruct(p.context, residues, modulus)
         if candidate is not None and cofactor:

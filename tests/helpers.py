@@ -17,25 +17,8 @@ from k3auto.polyfield import FieldContext, Poly, RATIONALS
 
 QW3 = FieldContext(d=-3)
 QR5 = FieldContext(d=5)
+QI = FieldContext(d=-1)  # -1 is a square modulo no prime = 3 mod 4
 CONTEXTS = (RATIONALS, QW3, QR5)
-
-
-def evaluate(p, value):
-    """p at the field element value, by Horner's rule."""
-    acc = p.context.element(0)
-    for c in reversed(p.coefficients):
-        acc = acc * value + c
-    return acc
-
-
-def divides(f, g):
-    """Whether the polynomial f divides g."""
-    return (g % f).is_zero
-
-
-def norm(e):
-    """The field norm x^2 - d*y^2 of e = x + y*w (x^2 over Q)."""
-    return e.x * e.x - (e.context.d or 0) * e.y * e.y
 
 
 def random_element(rng, context, span=6):
@@ -51,7 +34,7 @@ def random_poly(rng, context, max_degree=6, span=6):
     coeffs = []
     for _ in range(degree + 1):
         if rng.random() < 0.3:  # keep the polynomials sparse
-            coeffs.append(context.element(0))
+            coeffs.append(context.zero())
         else:
             coeffs.append(random_element(rng, context, span))
     return Poly.make(context, coeffs)
@@ -73,17 +56,6 @@ def random_model(rng, context=RATIONALS, max_degree=8):
             return WeierstrassModel(a, b)
         except InvalidModelError:
             continue
-
-
-def brute_force_even_rank2(det_target, entry_bound):
-    """All even rank-2 Gram matrices [[2a, b], [b, 2c]] with entries
-    |a|, |b|, |c| <= entry_bound and determinant 4ac - b^2 = det_target:
-    the exhaustive oracle for the rank-2 divisibility arguments."""
-    from k3auto.lattice import Lattice
-
-    span = range(-entry_bound, entry_bound + 1)
-    return [Lattice(((2 * a, b), (b, 2 * c)))
-            for a in span for b in span for c in span if 4 * a * c - b * b == det_target]
 
 
 def random_gram(rng, rank, span=5):

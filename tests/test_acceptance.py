@@ -13,9 +13,6 @@ import pytest
 
 from helpers import (
     QW3,
-    brute_force_even_rank2,
-    divides,
-    evaluate,
     random_gram,
     random_model,
     random_nonzero_poly,
@@ -40,6 +37,7 @@ from k3auto.enumerations import (
 from k3auto.isometry import lefschetz_number, local_curve_possible
 from k3auto.lattice import (
     Lattice,
+    brute_force_even_rank2,
     discriminant_group,
     divisor_class_solve,
     is_p_elementary,
@@ -78,7 +76,7 @@ def table(analysis):
 
 def singular_table(analysis):
     return [[str(f.place), f.degree, f.kodaira_type]
-            for f in analysis.fibers if f.kodaira_type != "I0"]
+            for f in analysis.fibers if f.is_singular]
 
 
 def test_criterion_01_additive_only_k3_fiber_table(capsys):
@@ -159,8 +157,8 @@ def test_criterion_04_rational_quotient_surfaces():
     place_poly = next(
         f.place.generator for f in j3.fibers if f.kodaira_type == "I1"
     )
-    assert evaluate(place_poly, QW3.element(0)).is_zero
-    assert evaluate(place_poly, S_SPECIAL + S_SPECIAL).is_zero
+    assert place_poly.evaluate(QW3.zero()).is_zero
+    assert place_poly.evaluate(S_SPECIAL + S_SPECIAL).is_zero
     assert (j1.euler_total, j2.euler_total, j3.euler_total) == (12, 12, 12)
     assert {str(s.surface) for s in (j1, j2, j3)} == {"rational"}
     announce(4, "fiber tables II+II*, I1+I1+II*, I1(0)+I1(2s)+II*, Euler 12")
@@ -287,7 +285,7 @@ def test_criterion_11_randomized_property_suites():
             rebuilt = rebuilt * factor ** multiplicity
         assert rebuilt == q
         g = poly_gcd(q, p)
-        assert divides(g, q) and divides(g, p) and g == p.monic()
+        assert g.divides(q) and g.divides(p) and g == p.monic()
 
     # (d) rescaling invariance (a, b) -> (lambda^4 a, lambda^6 b)
     rng = random.Random(1104)

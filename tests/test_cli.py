@@ -115,6 +115,27 @@ def test_surface_analyze_quadratic_field(capsys):
     assert report["surface"] == "K3"
 
 
+def test_surface_analyze_over_gaussian_rationals():
+    # -1 is a square modulo no prime = 3 mod 4, so the gcds over Q(sqrt(-1))
+    # need primes of another class; a subprocess with a timeout, so that a
+    # supply with no usable prime fails instead of hanging the suite
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "k3auto.cli", "surface", "analyze",
+                             "--a", "t^2 + 1", "--b", "(t - w)*(t + 1)", "--field", "w2=-1"],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    table = [(f["place"], f["type"]) for f in report["fibers"]]
+    assert table == [
+        ("t - w", "II"),
+        ("t + w", "I0"),
+        ("t + 1", "I0"),
+        ("t^4 + 2*w*t^3 + 27/4*t^2 + (27/2 + 2*w)*t + 23/4", "I1"),
+        ("infinity", "I0*"),
+    ]
+
+
 def test_leading_minus_polynomials_are_accepted(capsys):
     # argv normalization must keep "-3*t^2" out of argparse's flag parsing
     code, out, _ = run(

@@ -213,7 +213,7 @@ def test_fiber_analysis_reads_euler_numbers_from_valuations(monkeypatch):
 
 
 def reversed_to(p: Poly, degree: int) -> Poly:
-    padded = list(p.coefficients) + [p.context.element(0)] * (
+    padded = list(p.coefficients) + [p.context.zero()] * (
         degree + 1 - len(p.coefficients)
     )
     return Poly.make(p.context, padded[::-1])

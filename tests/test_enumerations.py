@@ -24,7 +24,7 @@ from k3auto.enumerations import (
     order22_replay,
     rank_det_cases,
 )
-from helpers import brute_force_even_rank2
+from k3auto.lattice import brute_force_even_rank2
 
 
 def test_rank_det_table():

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from helpers import brute_force_even_rank2, congruent_gram, random_gram, random_unimodular
+from helpers import congruent_gram, random_gram, random_unimodular
 
 from k3auto.errors import LatticeError, LatticeExprError
 from k3auto.lattice import (
@@ -17,6 +17,7 @@ from k3auto.lattice import (
     Lattice,
     SignaturePair,
     build_lattice,
+    brute_force_even_rank2,
     determinant_and_signature,
     discriminant_group,
     divisor_class_solve,

@@ -19,9 +19,8 @@ import pytest
 import sympy
 from helpers import (
     CONTEXTS,
-    divides,
+    QI,
     load_workloads,
-    norm,
     random_element,
     random_nonzero_poly,
     sympy_domain,
@@ -77,31 +76,31 @@ def test_rational_field_arithmetic():
 
 
 def test_quadratic_field_arithmetic():
-    w = QW3.element(0, 1)
+    w = QW3.generator()
     assert (w * w).x == -3
     s = QW3.element(0, Fraction(2, 9))
     # the constant with s^2 = -4/27
     assert (s * s).x == Fraction(-4, 27)
     assert (s * s).y == 0
     e = QW3.element(Fraction(1, 2), Fraction(-3, 7))
-    assert e * (1 / e) == QW3.element(1)
-    assert norm(e) == Fraction(1, 4) - (-3) * Fraction(9, 49)
+    assert (e * e.inverse()) == QW3.one()
+    assert e.norm() == Fraction(1, 4) - (-3) * Fraction(9, 49)
 
 
 def test_norm_is_multiplicative():
     a = QW3.element(2, Fraction(1, 3))
     b = QW3.element(Fraction(-5, 2), 4)
-    assert norm(a * b) == norm(a) * norm(b)
+    assert (a * b).norm() == a.norm() * b.norm()
 
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        1 / QW3.element(0)
+        QW3.zero().inverse()
 
 
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
-        Q.element(1) + QW3.element(1)
+        Q.one() + QW3.one()
     with pytest.raises(ContextMismatchError):
         Poly.variable(Q) * Poly.variable(QW3)
 
@@ -187,7 +186,7 @@ def _spy_image_gcds(monkeypatch, primes=()):
         return image
 
     monkeypatch.setattr(polyfield, "modular_primes",
-                        lambda: itertools.chain(primes, GENERATED_PRIMES()))
+                        lambda d: itertools.chain(primes, GENERATED_PRIMES(d)))
     monkeypatch.setattr(polyfield, "_gcd_mod", spy)
     return calls
 
@@ -197,7 +196,7 @@ GENERATED_PRIMES = polyfield.modular_primes
 
 def _first_usable_prime(d):
     """The first generated prime modulo which d is a nonzero square."""
-    return next(l for l in GENERATED_PRIMES() if d is None or pow(d, l // 2, l) == 1)
+    return next(l for l in GENERATED_PRIMES(d) if d is None or pow(d, l // 2, l) == 1)
 
 
 def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
@@ -221,7 +220,8 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
             certified += [image for _, image in images[:1]] == [[1]]
     assert certified >= 24
     # shared factors with 64-bit coefficients and a w part need several
-    # primes, and those with 400-bit ones more: the primes decide both.
+    # primes, and those with 400-bit ones more: the primes decide both, over
+    # Q(sqrt(-1)) too, whose primes are the p = 5 mod 8.
     # Cofactors of degree >= 3 keep the image gcd at most half the degree
     # of either input, so the gcd itself is lifted
     def cofactor():
@@ -230,7 +230,7 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
             if f.degree >= 3:
                 return f
 
-    for context in (QW3, FieldContext(d=5)):
+    for context in (QW3, FieldContext(d=5), QI):
         domain = sympy_domain(context)
         used = []
         for bits in (64, 400):
@@ -241,7 +241,7 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
             images.clear()
             g = poly_gcd(p, q)
             assert g == _euclid(p, q), (p, q)
-            assert divides(common.monic(), g) and g.ys
+            assert common.monic().divides(g) and g.ys
             expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
             assert sympy_poly(g, domain) == expected, (p, q)
             used.append(len({prime for prime, _ in images}))
@@ -253,7 +253,7 @@ LADDER_B = ("(123456789012345678901234567890123456789/97*t^6"
             " + 55555555555555555555555555/7*t + 1234567890123456789*w)")
 
 
-@pytest.mark.parametrize("d", [5, -3])
+@pytest.mark.parametrize("d", [5, -3, -1])
 def test_poly_gcd_lifts_the_cofactor_of_a_large_shared_factor(monkeypatch, d):
     # p = B^4 * (t^2 + 1) and p' share B^3, of degree 18 with coefficients
     # of hundreds of bits; the image gcd has more than half the degree of
@@ -296,9 +296,11 @@ def _is_prime_by_trial_division(n):
 
 
 def test_modular_primes_are_primes_3_mod_4():
-    oracle = (n for n in range(2 ** 30 - 1, 0, -4) if _is_prime_by_trial_division(n))
-    first = list(itertools.islice(polyfield.modular_primes(), 20))
-    assert first == list(itertools.islice(oracle, 20))
+    # and, for Q(sqrt(-1)) alone, = 5 mod 8
+    for d, start, step in ((None, 2 ** 30 - 1, 4), (5, 2 ** 30 - 1, 4), (-1, 2 ** 30 - 3, 8)):
+        oracle = (n for n in range(start, 0, -step) if _is_prime_by_trial_division(n))
+        first = list(itertools.islice(polyfield.modular_primes(d), 20))
+        assert first == list(itertools.islice(oracle, 20)), d
     # strong pseudoprimes = 3 mod 4 to the bases 2, to 2 and 3, and to all
     # four: Miller-Rabin rejects the first two kinds, and is exact only
     # below the third
@@ -309,10 +311,20 @@ def test_modular_primes_are_primes_3_mod_4():
         assert passed == [True] * bases + [False] * (4 - bases), n
         assert polyfield._is_prime(n) == (bases == 4)
     assert 3215031751 > 2 ** 31
+    # = 5 mod 8, n - 1 = 4 * (n >> 2): a Fermat pseudoprime to the base 2,
+    # and strong pseudoprimes to the base 2 (2^(n >> 2) is not +-1, its square
+    # is -1) and to 2 and 3
+    for n, bases in ((341, 0), (3277, 1), (1373653, 2)):
+        assert not _is_prime_by_trial_division(n) and pow(2, n - 1, n) == 1
+        passed = [pow(a, n >> 2, n) in (1, n - 1) or pow(a, n >> 1, n) == n - 1
+                  for a in (2, 3, 5, 7)]
+        assert passed == [True] * bases + [False] * (4 - bases), n
+        assert not polyfield._is_prime(n)
+    assert pow(2, 3277 >> 2, 3277) not in (1, 3276)
 
 
 def test_importing_polyfield_generates_no_prime():
-    code = "import k3auto.polyfield as p, k3auto.cli; print(len(p._PRIMES))"
+    code = "import k3auto.polyfield as p, k3auto.cli; print(sum(map(len, p._PRIMES.values())))"
     src = str(Path(polyfield.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60)
@@ -367,23 +379,6 @@ def test_certificate_skips_prime_killing_a_leading_coefficient(monkeypatch):
             assert g == shared and used == expected
 
 
-def test_lift_is_tried_when_the_image_stops_changing(monkeypatch):
-    # the monic gcd t^2 + n*t + 3 with n near 2^35: its image is exact after
-    # two 30-bit primes, so the third changes nothing, and the lift tried
-    # then succeeds, before the next power of two
-    lifts = []
-    reconstruct = polyfield._reconstruct
-    monkeypatch.setattr(polyfield, "_reconstruct",
-                        lambda *args: lifts.append(args[2]) or reconstruct(*args))
-    for n in (2 ** 35, 2 ** 35 + 12345, -(2 ** 36) + 7):
-        shared = f"t^2 + {n}*t + 3"
-        p, q = (parse_poly(f"({shared}) * (t^3 + {c})", Q) for c in (2, -5))
-        images = _spy_image_gcds(monkeypatch)
-        lifts.clear()
-        assert poly_gcd(p, q) == parse_poly(shared, Q) == _euclid(p, q)
-        assert len(images) == len(lifts) == 3, n
-
-
 def test_cofactor_counts_only_if_it_divides_the_smaller_input(monkeypatch):
     # gcd (t + 1)(t + 2) has degree 2 > 3/2, so q's cofactor t + 3 is lifted.
     # A wrong lift t + 4 leaves q = (t^2 + 2t + 3)(t + 4) - 6: its quotient
@@ -403,7 +398,7 @@ def test_reconstruction_bounds_the_common_denominator():
     # denominator outgrows the bound is refused, as a wrong lift of this kind,
     # for B^20 * (t^2 + 1) and its derivative over Q(sqrt(-3)), made its trial
     # division ~50x dearer than the right one's; two primes lift it
-    l, m = itertools.islice(GENERATED_PRIMES(), 2)
+    l, m = itertools.islice(GENERATED_PRIMES(None), 2)
     residues = [pow(e, -1, l * m) for e in (1009, 1013)]
     assert polyfield._reconstruct(Q, [u % l for u in residues], l) is None
     expected = Poly.make(Q, [Fraction(1, 1009), Fraction(1, 1013)])
@@ -555,7 +550,7 @@ def test_parse_poly_basics():
     p = parse_poly("t^11 - 1", Q)
     assert p.degree == 11
     assert p.coefficient(0) == Q.element(-1)
-    assert p.coefficient(11) == Q.element(1)
+    assert p.coefficient(11) == Q.one()
     q = parse_poly("4 + 27*(t - s)^2", Q, bindings={"s": 1})
     assert q == parse_poly("27*t^2 - 54*t + 31", Q)
 
@@ -748,7 +743,7 @@ def test_place_order_and_text_match_fraction_oracles():
                 if rng.random() < 0.4:
                     coeffs.append(context.element(*rng.choice(special)))
                 elif rng.random() < 0.2:
-                    coeffs.append(context.element(0))
+                    coeffs.append(context.zero())
                 else:
                     coeffs.append(random_element(rng, context))
             p = Poly.make(context, coeffs)

@@ -9,8 +9,8 @@ import random
 import sympy
 from helpers import (
     CONTEXTS,
+    QI,
     congruent_gram,
-    divides,
     random_element,
     random_gram,
     random_model,
@@ -98,8 +98,8 @@ def test_gcd_divides_both_arguments():
         q = common * random_nonzero_poly(rng, context, max_degree=4)
         g = poly_gcd(p, q)
         assert g == g.monic()
-        assert divides(g, p) and divides(g, q)
-        assert divides(common.monic(), g)
+        assert g.divides(p) and g.divides(q)
+        assert common.monic().divides(g)
 
 
 def test_lattice_invariants_are_congruence_invariant():
@@ -146,7 +146,7 @@ def test_fiber_euler_number_is_the_minimal_discriminant_valuation(monkeypatch):
         m = random_model(rng, rng.choice(CONTEXTS), max_degree=5)
         models += with_zero_coefficient_variants(m)
         # a and b times g^4 and g^6 for a linear g: one (4, 6, 12)-step at g
-        g = Poly.make(m.context, [random_element(rng, m.context), m.context.element(1)])
+        g = Poly.make(m.context, [random_element(rng, m.context), m.context.one()])
         models.append(WeierstrassModel(m.a * g ** 4, m.b * g ** 6))
     calls = []
     monkeypatch.setattr(ellsurf, "fiber_euler_number", calls.append)
@@ -174,7 +174,7 @@ def test_euler_bookkeeping_on_random_models():
             # finite places are monic, squarefree and pairwise coprime
             generators = [f.place.generator for f in analysis.fibers[:-1]]
             for i, g in enumerate(generators):
-                assert g.leading_coefficient() == context.element(1)
+                assert g.leading_coefficient() == context.one()
                 assert is_squarefree(g)
                 assert all(poly_gcd(g, h).is_constant for h in generators[i + 1:])
             # finite valuations from the exponent matrix match valuation()
@@ -210,7 +210,7 @@ def test_fiber_analysis_runs_without_scalar_arithmetic(monkeypatch):
               for variant in with_zero_coefficient_variants(
                   random_model(rng, rng.choice(CONTEXTS), max_degree=6))]
     reports = [analyze_fibers(m).as_report() for m in models]
-    for name in ("__mul__", "__add__", "__truediv__", "__rtruediv__"):
+    for name in ("__mul__", "__add__", "inverse"):
         monkeypatch.setattr(polyfield.FieldElement, name, refuse)
     assert [analyze_fibers(m).as_report() for m in models] == reports
 
@@ -234,8 +234,7 @@ def _shared_factor_model(rng, context):
         a = f ** rng.randint(0, 3) * g ** rng.randint(0, 2)
         b = f ** rng.randint(0, 3) * g ** rng.randint(0, 1) * h ** rng.randint(0, 2)
         try:
-            scale = random_element(rng, context, 3) or context.element(1)
-            return WeierstrassModel(a.scale(scale), b)
+            return WeierstrassModel(a.scale(random_element(rng, context, 3) or context.one()), b)
         except InvalidModelError:
             continue
 
@@ -308,7 +307,7 @@ def test_fiber_place_branches_match_the_general_basis(monkeypatch):
                         lambda polys: basis_calls.append(polys) or polyfield.gcdfree_basis(polys))
     rng = random.Random(1971)
     seen = set()
-    for context in CONTEXTS:
+    for context in (*CONTEXTS, QI):
         for i in range(16):
             m = (_sharing_model if i % 2 else random_model)(rng, context)
             for variant in with_zero_coefficient_variants(m):
