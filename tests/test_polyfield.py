@@ -296,7 +296,13 @@ def _is_prime_by_trial_division(n):
 
 
 def test_modular_primes_are_primes_3_mod_4():
-    # and, for Q(sqrt(-1)) alone, = 5 mod 8
+    # Miller-Rabin against trial division on every odd n from 9 to 9999 first:
+    # a test that rejected every prime = 5 mod 8 would leave the generator
+    # for Q(sqrt(-1)) searching forever
+    odd = range(9, 10000, 2)
+    assert [n for n in odd if polyfield._is_prime(n)] == \
+        [n for n in odd if _is_prime_by_trial_division(n)]
+    # then the primes = 3 mod 4 and, for Q(sqrt(-1)) alone, = 5 mod 8
     for d, start, step in ((None, 2 ** 30 - 1, 4), (5, 2 ** 30 - 1, 4), (-1, 2 ** 30 - 3, 8)):
         oracle = (n for n in range(start, 0, -step) if _is_prime_by_trial_division(n))
         first = list(itertools.islice(polyfield.modular_primes(d), 20))
