@@ -17,7 +17,7 @@ assumptions in the reports, never re-derived here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ellsurf import fiber_euler_number
 from .isometry import (
@@ -123,12 +123,11 @@ def kodaira_types_up_to(max_euler: int) -> tuple[str, ...]:
     return tuple(s for e, s in sorted(set(map(_type_key, symbols))) if e <= max_euler)
 
 
-@dataclass(frozen=True)
-class OrbitConfig:
+class OrbitConfig(NamedTuple):
     """Fixed fibers at 0 and infinity plus a multiset of types, each of the
-    latter appearing in one free orbit of ``orbit_size`` fibers.
-    ``euler_total`` is e(fiber 0) + e(fiber inf) + orbit_size * (sum of the
-    orbit types' Euler numbers)."""
+    latter in one free orbit of ``orbit_size`` fibers; ``euler_total`` is
+    e(fiber 0) + e(fiber inf) + orbit_size * (sum of the orbit types' Euler
+    numbers).  A named tuple, so equal to a plain tuple of its four fields."""
 
     fixed_fibers: tuple[str, str]
     orbit_fibers: tuple[str, ...]
@@ -144,10 +143,9 @@ class OrbitConfig:
         }
 
     def __str__(self) -> str:
-        orbit = ", ".join(f"{self.orbit_size}x{s}" for s in self.orbit_fibers)
-        return f"[0: {self.fixed_fibers[0]}, inf: {self.fixed_fibers[1]}" + (
-            f", orbits: {orbit}]" if orbit else "]"
-        )
+        orbit = ", ".join(map(f"{self.orbit_size}x".__add__, self.orbit_fibers))
+        fixed = f"[0: {self.fixed_fibers[0]}, inf: {self.fixed_fibers[1]}"
+        return fixed + (f", orbits: {orbit}]" if orbit else "]")
 
 
 def fiber_orbit_configs(total_euler: int,
@@ -163,10 +161,11 @@ def fiber_orbit_configs(total_euler: int,
     at the fixed places.  Configurations whose two fixed fibers could be
     swapped (both orders admissible) are reported once, in canonical order.
 
-    The configurations are counted before any is built.  ValueError when
-    total_euler // orbit_size exceeds MAX_ORBIT_BUDGET, the completion
-    table would exceed MAX_ORBIT_TABLE entries, or the configurations, each
-    weighted by its orbit budget (at least 1), exceed MAX_ORBIT_OUTPUT.
+    The configurations are counted before any is built, and each budget's
+    (type, count) runs are expanded once.  ValueError when total_euler //
+    orbit_size exceeds MAX_ORBIT_BUDGET, the completion table would exceed
+    MAX_ORBIT_TABLE entries, or the configurations, each weighted by its
+    orbit budget (at least 1), exceed MAX_ORBIT_OUTPUT.
     """
     if total_euler // orbit_size > MAX_ORBIT_BUDGET:
         raise ValueError(f"total_euler // orbit_size exceeds the cap {MAX_ORBIT_BUDGET}")
@@ -200,14 +199,11 @@ def fiber_orbit_configs(total_euler: int,
 
     # every canonical pair takes every multiset of its budget, so emitting
     # pair by pair in sorted order sorts the configurations
-    orbits: dict[int, list[tuple[str, ...]]] = {}
-    configs = []
-    for (k0, kinf), budget in zip(pairs, budgets):
-        if budget not in orbits:
-            orbits[budget] = weighted_multisets(pool, budget, table)
-        fixed = (k0[1], kinf[1])
-        configs += [OrbitConfig(fixed, orbit, orbit_size, total_euler) for orbit in orbits[budget]]
-    return configs
+    orbits = {b: [sum([(s,) * c for s, c in runs], ())
+                  for runs in weighted_multisets(pool, b, table)] for b in set(budgets)}
+    fixed = [(k0[1], kinf[1]) for k0, kinf in pairs]
+    return [OrbitConfig(pair, orbit, orbit_size, total_euler)
+            for pair, budget in zip(fixed, budgets) for orbit in orbits[budget]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import PatternError
+
+_UNIT_NAMES = {1: "1", 2: "-1"}  # pattern-literal names; any other block is Phi(d)
 
 
 def divisors(n: int) -> list[int]:
@@ -119,11 +120,8 @@ class CyclotomicMultiset:
 
     def as_literal(self) -> str:
         """Render in the pattern-literal grammar, e.g. ``1*4, -1*8, Phi(11)``."""
-        parts = []
-        for d, count in self.blocks:
-            name = {1: "1", 2: "-1"}.get(d, f"Phi({d})")
-            parts.append(name if count == 1 else f"{name}*{count}")
-        return ", ".join(parts)
+        return ", ".join((_UNIT_NAMES.get(d) or f"Phi({d})") + (f"*{count}" if count > 1 else "")
+                         for d, count in self.blocks)
 
     def __str__(self) -> str:
         return self.as_literal() or "(empty)"
@@ -178,21 +176,22 @@ def completion_counts(pool: Sequence[tuple[int, object]], budget: int) -> list[l
 def weighted_multisets(pool: Sequence[tuple[int, object]], budget: int,
                        table: list[list[int]]) -> list[tuple]:
     """All multisets over pool whose weights sum to exactly budget, each as
-    its items repeated, in pool-index order: more copies of pool[0] first,
-    then, among equal counts, more copies of pool[1], and so on.  As no
-    multiset of the budget is a prefix of another, this is the ascending
-    order of the multisets as tuples of pool indices.
+    its (item, count) runs in pool order, no count zero, and they come in
+    pool-index order: more copies of pool[0] first, then, among equal
+    counts, more copies of pool[1], and so on.  As no multiset of the budget
+    is a prefix of another, this is their ascending order as index tuples.
 
     An explicit stack, not recursion: a multiset can hold up to budget
     items.  Each state fixes how many copies of pool[i] to take, and is
     pushed only if ``table`` (from ``completion_counts``) says it can still
     be completed, so every state leads to an output and the work follows
-    the output size.  More copies are pushed last, so they pop first.
+    the output size; the last pool index takes all that is left.  More
+    copies are pushed last, so they pop first.
     """
     out: list[tuple] = []
     if not table[0][budget]:
         return out
-    # (next pool index, budget left, items so far)
+    # (next pool index, budget left, runs so far)
     stack = [(0, budget, ())]
     while stack:
         i, left, acc = stack.pop()
@@ -200,9 +199,13 @@ def weighted_multisets(pool: Sequence[tuple[int, object]], budget: int,
             out.append(acc)
             continue
         weight, item = pool[i]
+        if i == len(pool) - 1:
+            out.append(acc + ((item, left // weight),))
+            continue
         for count in range(left // weight + 1):
-            if table[i + 1][left - count * weight]:
-                stack.append((i + 1, left - count * weight, acc + (item,) * count))
+            rest = left - count * weight
+            if table[i + 1][rest]:
+                stack.append((i + 1, rest, acc + ((item, count),) if count else acc))
     return out
 
 
@@ -212,15 +215,16 @@ def char_poly_decompositions(order: int, rank: int, *,
 
     ``allowed`` (if given) restricts d to that set.  Output is possibly
     empty and in ``CyclotomicMultiset.sort_key`` order: the pool is
-    (phi(d), d) in increasing d, and ``weighted_multisets`` puts more
-    copies of a smaller d first, as the key's (d, -count) pairs do, and no
-    multiset of the rank is a prefix of another.
+    (phi(d), d) in increasing d, so ``weighted_multisets`` emits each
+    multiset's (d, count) runs as its blocks and puts more copies of a
+    smaller d first, as the key's (d, -count) pairs do, and no multiset of
+    the rank is a prefix of another.
     """
     if order < 1 or rank < 0:
         raise ValueError("need order >= 1 and rank >= 0")
     pool = [(_phi(d), d) for d in divisors(order) if allowed is None or d in allowed]
-    return [CyclotomicMultiset(tuple((d, len(list(run))) for d, run in groupby(items)))
-            for items in weighted_multisets(pool, rank, completion_counts(pool, rank))]
+    return [CyclotomicMultiset(runs)
+            for runs in weighted_multisets(pool, rank, completion_counts(pool, rank))]
 
 
 def local_curve_possible(weights_1: Iterable[int], weights_2: Iterable[int],

@@ -90,6 +90,31 @@ def test_orbit_config_euler_and_str():
         fiber_orbit_configs(24, ["I0", "V"], ["II"], ["I1"])
 
 
+def test_orbit_config_record_contract():
+    config = OrbitConfig(("I0", "II"), ("I1", "I1"), 11, 24)
+    twin = OrbitConfig(("I0", "II"), ("I1", "I1"), 11, 24)
+    assert config == twin and hash(config) == hash(twin)
+    assert config.as_record() == twin.as_record()
+    assert config != OrbitConfig(("I0", "II"), ("I2",), 11, 24)
+    with pytest.raises(AttributeError):
+        config.orbit_size = 1
+    with pytest.raises(AttributeError):
+        config.label = "x"
+    assert repr(config) == (
+        "OrbitConfig(fixed_fibers=('I0', 'II'), orbit_fibers=('I1', 'I1'), "
+        "orbit_size=11, euler_total=24)"
+    )
+    assert config.as_record() == {
+        "fixed": ("I0", "II"), "orbits": ("I1", "I1"), "orbit_size": 11, "euler_total": 24,
+    }
+    bare = OrbitConfig(("I22", "II"), (), 11, 24)
+    assert str(bare) == "[0: I22, inf: II]"
+    assert repr(bare) == (
+        "OrbitConfig(fixed_fibers=('I22', 'II'), orbit_fibers=(), "
+        "orbit_size=11, euler_total=24)"
+    )
+
+
 def orbit_args(total_euler):
     """The arguments of the benchmark's orbits ops: I0 or any singular type
     of Euler number <= 24 at the fixed places, every type an orbit of 11

@@ -7,6 +7,7 @@ enumeration is cross-checked against an independent brute force.
 """
 
 import cmath
+import itertools
 import math
 import random
 
@@ -21,8 +22,10 @@ from k3auto.isometry import (
     IsometryPattern,
     LocalAction,
     char_poly_decompositions,
+    completion_counts,
     lefschetz_number,
     local_curve_possible,
+    weighted_multisets,
 )
 from k3auto.parsing import parse_pattern
 
@@ -88,6 +91,51 @@ def test_multiset_normalization_and_validation():
         CyclotomicMultiset(blocks=((11, 0),))
     with pytest.raises(PatternError):
         CyclotomicMultiset(blocks=((11, 1), (5, 1)))
+
+
+def test_multiset_record_contract():
+    m = CyclotomicMultiset(((1, 4), (2, 8), (11, 1)))
+    twin = CyclotomicMultiset.from_counts({11: 1, 2: 8, 1: 4})
+    assert m == twin and hash(m) == hash(twin)
+    assert m != CyclotomicMultiset(((1, 4), (2, 8)))
+    with pytest.raises(AttributeError):
+        m.blocks = ()
+    assert repr(m) == "CyclotomicMultiset(blocks=((1, 4), (2, 8), (11, 1)))"
+    assert str(m) == m.as_literal() == "1*4, -1*8, Phi(11)"
+    assert str(CyclotomicMultiset(((3, 2), (22, 1)))) == "Phi(3)*2, Phi(22)"
+    assert repr(CyclotomicMultiset()) == "CyclotomicMultiset(blocks=())"
+    assert str(CyclotomicMultiset()) == "(empty)"
+    assert CyclotomicMultiset().as_literal() == ""
+
+
+def brute_force_runs(pool, budget):
+    """Every multiset of pool indices whose weights sum to budget, in
+    ascending order as index tuples, each as its (item, count) runs."""
+    found = [
+        combo
+        for size in range(budget + 1)
+        for combo in itertools.combinations_with_replacement(range(len(pool)), size)
+        if sum(pool[i][0] for i in combo) == budget
+    ]
+    return [
+        tuple((pool[i][1], len(list(run))) for i, run in itertools.groupby(combo))
+        for combo in sorted(found)
+    ]
+
+
+def test_weighted_multisets_vs_brute_force():
+    rng = random.Random(1999)
+    for _ in range(40):
+        pool = [(rng.randint(1, 5), f"x{k}") for k in range(rng.randint(0, 5))]
+        table = completion_counts(pool, 12)
+        order = {item: k for k, (_, item) in enumerate(pool)}
+        for budget in range(13):
+            mine = weighted_multisets(pool, budget, table)
+            assert mine == brute_force_runs(pool, budget)
+            for runs in mine:
+                assert all(count >= 1 for _, count in runs)
+                indices = [order[item] for item, _ in runs]
+                assert indices == sorted(set(indices))
 
 
 def test_power_against_numeric_eigenvalues():
