@@ -46,9 +46,11 @@ EXIT_INVALID_MODEL = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(report: dict, text: str, fmt: str) -> None:
+def _emit(rendition: dict | str) -> None:
+    """Print a JSON report (a dict) or text lines (a str)."""
     try:
-        print(json.dumps(report, sort_keys=True, indent=2) if fmt == "json" else text)
+        print(json.dumps(rendition, sort_keys=True, indent=2)
+              if isinstance(rendition, dict) else rendition)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early: not a fault; silence the exit-time flush
@@ -82,65 +84,73 @@ def _parse_field(spec: str | None) -> FieldContext:
     return FieldContext(d=d)
 
 
+# Each command resolves the format first and renders only that rendition.
 def _cmd_lattice(args: argparse.Namespace) -> int:
+    fmt = _resolve_format(args)
     lat = build_lattice(args.expr)
     det, signature = determinant_and_signature(lat)
     disc = discriminant_group(lat)
-    report = {
-        "expression": args.expr,
-        "rank": lat.rank,
-        "gram": [list(row) for row in lat.gram],
-        "even": lat.is_even,
-        "det": det,
-        "signature": list(signature.pair),
-        "zeros": signature.zeros,
-        "discriminant_group": list(disc.invariant_factors),
-        "discriminant_order": disc.order,
-        "eleven_elementary": is_p_elementary(lat, 11),
-    }
+    eleven = is_p_elementary(lat, 11)
+    if fmt == "json":
+        _emit({
+            "expression": args.expr,
+            "rank": lat.rank,
+            "gram": [list(row) for row in lat.gram],
+            "even": lat.is_even,
+            "det": det,
+            "signature": list(signature.pair),
+            "zeros": signature.zeros,
+            "discriminant_group": list(disc.invariant_factors),
+            "discriminant_order": disc.order,
+            "eleven_elementary": eleven,
+        })
+        return EXIT_OK
     factors = " x ".join(f"Z/{n}" for n in disc.invariant_factors) or "trivial"
-    lines = [
+    _emit("\n".join([
         f"lattice {args.expr}",
         f"  rank {lat.rank}, det {det}, signature {signature.pair}"
         + (f" + {signature.zeros} zero(s)" if signature.zeros else ""),
         f"  even: {'yes' if lat.is_even else 'no'}",
         f"  discriminant group: {factors} (order {disc.order})",
-        f"  11-elementary: {'yes' if report['eleven_elementary'] else 'no'}",
+        f"  11-elementary: {'yes' if eleven else 'no'}",
         "  gram: " + "; ".join(" ".join(str(x) for x in row) for row in lat.gram),
-    ]
-    _emit(report, "\n".join(lines), _resolve_format(args))
+    ]))
     return EXIT_OK
 
 
 def _cmd_surface_analyze(args: argparse.Namespace) -> int:
+    fmt = _resolve_format(args)
     context = _parse_field(args.field)
     model = WeierstrassModel(
         parse_poly(args.a, context), parse_poly(args.b, context)
     )
     analysis = analyze_fibers(model)
-    report = analysis.as_report()
+    if fmt == "json":
+        _emit(analysis.as_report())
+        return EXIT_OK
     lines = [
         f"y^2 = x^3 + ({args.a}) x + ({args.b})"
         + (f"   over w^2 = {context.d}" if context.is_quadratic else ""),
-        f"  k = {analysis.k}, surface class: {report['surface']}, "
-        f"relatively minimal: {'yes' if report['relatively_minimal'] else 'no'}",
-        f"  Euler total {report['euler_total']} "
-        f"(expected {report['expected_euler']})",
+        f"  k = {analysis.k}, surface class: {analysis.surface}, "
+        f"relatively minimal: {'yes' if analysis.relatively_minimal else 'no'}",
+        f"  Euler total {analysis.euler_total} "
+        f"(expected {analysis.expected_euler})",
     ]
-    for fiber in report["fibers"]:
+    for fiber in [f.as_record() for f in analysis.fibers]:
         lines.append(
             f"  {fiber['place']}: degree {fiber['degree']}, "
             f"type {fiber['type']}, e = {fiber['euler']}, "
             f"v(a) = {fiber['v_a']}, v(b) = {fiber['v_b']}, "
             f"v(delta) = {fiber['v_delta']}"
         )
-    _emit(report, "\n".join(lines), _resolve_format(args))
+    _emit("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    fmt = _resolve_format(args)
     report = run_scenarios(args.scenario)
-    _emit(report.as_report(), report.to_text(), _resolve_format(args))
+    _emit(report.as_report() if fmt == "json" else report.to_text())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -167,7 +177,8 @@ def _string_list(config: dict, key: str) -> list[str]:
     return value
 
 
-def _run_fiber_orbits(config: dict) -> tuple[dict, str]:
+# A runner takes the config and the format, and returns that rendition.
+def _run_fiber_orbits(config: dict, fmt: str) -> dict | str:
     configs = fiber_orbit_configs(
         _positive_int(config, "total_euler"),
         _string_list(config, "allowed_at_zero"),
@@ -175,42 +186,44 @@ def _run_fiber_orbits(config: dict) -> tuple[dict, str]:
         _string_list(config, "orbit_allowed"),
         _positive_int(config, "orbit_size", default=11),
     )
-    report = {
-        "kind": "fiber_orbits",
-        "count": len(configs),
-        "configs": [c.as_record() for c in configs],
-    }
-    lines = [f"{len(configs)} configuration(s)"]
-    lines += [f"  {c}" for c in configs]
-    return report, "\n".join(lines)
+    if fmt == "json":
+        return {
+            "kind": "fiber_orbits",
+            "count": len(configs),
+            "configs": [c.as_record() for c in configs],
+        }
+    return "\n".join([f"{len(configs)} configuration(s)", *(f"  {c}" for c in configs)])
 
 
-def _run_order22(config: dict) -> tuple[dict, str]:
-    report = order22_replay(_string(config, "scenario")).as_report()
+def _run_order22(config: dict, fmt: str) -> dict | str:
+    report = order22_replay(_string(config, "scenario"))
+    if fmt == "json":
+        return report.as_report()
     lines = [
-        f"scenario {report['scenario']}: {report['survivors']} survivor(s) "
-        f"out of {len(report['candidates'])} candidate(s)"
+        f"scenario {report.scenario}: {len(report.survivors)} survivor(s) "
+        f"out of {len(report.candidates)} candidate(s)"
     ]
-    for c in report["candidates"]:
-        verdict = c["status"] if c["rule"] is None else f"{c['status']} ({c['rule']})"
-        lines.append(f"  {verdict}: {c['pattern']}")
-    return report, "\n".join(lines)
+    for c in report.candidates:
+        verdict = c.status if c.rule is None else f"{c.status} ({c.rule})"
+        lines.append(f"  {verdict}: {c.pattern.as_literal()}")
+    return "\n".join(lines)
 
 
-def _run_lefschetz(config: dict) -> tuple[dict, str]:
+def _run_lefschetz(config: dict, fmt: str) -> dict | str:
     pattern = parse_pattern(_string(config, "pattern"))
     value = lefschetz_number(pattern)
-    report = {
-        "kind": "lefschetz",
-        "pattern": pattern.as_literal(),
-        "algebraic_trace": pattern.algebraic.trace,
-        "transcendental_trace": pattern.transcendental.trace,
-        "lefschetz": value,
-    }
-    return report, f"L({pattern.as_literal()}) = {value}"
+    if fmt == "json":
+        return {
+            "kind": "lefschetz",
+            "pattern": pattern.as_literal(),
+            "algebraic_trace": pattern.algebraic.trace,
+            "transcendental_trace": pattern.transcendental.trace,
+            "lefschetz": value,
+        }
+    return f"L({pattern.as_literal()}) = {value}"
 
 
-_SCENARIO_KINDS: dict[str, Callable[[dict], tuple[dict, str]]] = {
+_SCENARIO_KINDS: dict[str, Callable[[dict, str], dict | str]] = {
     "fiber_orbits": _run_fiber_orbits,
     "order22": _run_order22,
     "lefschetz": _run_lefschetz,
@@ -218,6 +231,7 @@ _SCENARIO_KINDS: dict[str, Callable[[dict], tuple[dict, str]]] = {
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    fmt = _resolve_format(args)
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -233,10 +247,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(_SCENARIO_KINDS))
         raise ValueError(f"unknown scenario kind {kind!r}; known: {known}")
     try:
-        report, text = runner(config)
+        rendition = runner(config, fmt)
     except KeyError as exc:
         raise ValueError(f"scenario config is missing key {exc}") from None
-    _emit(report, text, _resolve_format(args))
+    _emit(rendition)
     return EXIT_OK
 
 

@@ -14,12 +14,13 @@ relatively minimal; a failed match is reported, never silently repaired.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ContextMismatchError,
     InconsistentValuationsError,
     InvalidModelError,
+    Record,
 )
 from .polyfield import (OMEGA, FieldContext, Place, Poly, _poly, _yun, gcdfree_basis, place_order,
                         poly_gcd)
@@ -110,14 +111,18 @@ def kodaira_type_from_valuations(v_a, v_b, v_delta) -> str:
     )
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(Record):
     """y^2 = x^3 + a(t) x + b(t) with 4a^3 + 27b^2 not identically zero.
-    The discriminant is computed once, here, and kept as ``delta``."""
+    The discriminant is computed once, by ``__post_init__`` (which
+    perfbench's tracer wraps on the class), and kept as ``delta``."""
 
-    a: Poly
-    b: Poly
-    delta: Poly = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "delta")
+    _fields = ("a", "b")
+
+    def __init__(self, a: Poly, b: Poly):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.a.context != self.b.context:
@@ -167,8 +172,7 @@ def flip_model(model: WeierstrassModel) -> WeierstrassModel:
     return WeierstrassModel(reverse(model.a, 4 * k), reverse(model.b, 6 * k))
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(NamedTuple):
     """Classified fiber over one place.  Valuations are those of the model
     as given; the type is read off after (4, 6, 12)-minimalization."""
 
@@ -206,8 +210,7 @@ class KodairaFiber:
         }
 
 
-@dataclass(frozen=True)
-class FiberAnalysis:
+class FiberAnalysis(NamedTuple):
     k: int
     fibers: tuple[KodairaFiber, ...]
     surface: str  # coarse class read from k: "rational", "K3" or "other(k=...)"
@@ -219,14 +222,8 @@ class FiberAnalysis:
         return 12 * self.k
 
     def as_report(self) -> dict:
-        return {
-            "k": self.k,
-            "surface": self.surface,
-            "relatively_minimal": self.relatively_minimal,
-            "euler_total": self.euler_total,
-            "expected_euler": self.expected_euler,
-            "fibers": [f.as_record() for f in self.fibers],
-        }
+        return {**self._asdict(), "expected_euler": self.expected_euler,
+                "fibers": [f.as_record() for f in self.fibers]}
 
 
 def _classify(place: Place, v_a, v_b, v_delta: int) -> KodairaFiber:
@@ -284,18 +281,17 @@ def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
     return analysis
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
+class FiberConfiguration(Record):
     """A multiset of fibers with multiplicities: entries are
     (multiplicity, type, count).  Multiple fibers (multiplicity > 1)
     exist only for the I_n types; they leave ``euler_total`` unchanged."""
 
-    entries: tuple[tuple[int, str, int], ...]
-    euler_total: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "euler_total")
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, str, int], ...]):
         total = 0
-        for mult, symbol, count in self.entries:
+        for mult, symbol, count in entries:
             # fiber_euler_number raises ValueError on an unknown type
             total += count * fiber_euler_number(symbol)
             if mult < 1 or count < 1:
@@ -305,6 +301,7 @@ class FiberConfiguration:
                     f"multiplicity {mult} on type {symbol}: only I_n fibers "
                     "can be multiple"
                 )
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "euler_total", total)
 
     def __str__(self) -> str:
@@ -315,8 +312,7 @@ class FiberConfiguration:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class EulerCheck:
+class EulerCheck(NamedTuple):
     passed: bool
     total: int
     expected: int

@@ -16,7 +16,6 @@ assumptions in the reports, never re-derived here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .ellsurf import fiber_euler_number
@@ -48,8 +47,7 @@ MAX_ORBIT_TABLE = 200_000  # entries of the completion-count table
 MAX_ORBIT_OUTPUT = 2_000_000
 
 
-@dataclass(frozen=True)
-class RankDetCase:
+class RankDetCase(NamedTuple):
     """One (rank M, det M) candidate with its feasibility verdict."""
 
     rank_m: int
@@ -210,8 +208,7 @@ def fiber_orbit_configs(total_euler: int,
 # order-22 pattern eliminations
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """One examined eigenvalue pattern and what happened to it."""
 
     label: str
@@ -223,19 +220,10 @@ class CandidateRecord:
     detail: str
 
     def as_record(self) -> dict:
-        return {
-            "label": self.label,
-            "pattern": self.pattern.as_literal(),
-            "lefschetz": self.lefschetz,
-            "lefschetz_consistent": self.lefschetz_consistent,
-            "status": self.status,
-            "rule": self.rule,
-            "detail": self.detail,
-        }
+        return {**self._asdict(), "pattern": self.pattern.as_literal()}
 
 
-@dataclass(frozen=True)
-class EliminationReport:
+class EliminationReport(NamedTuple):
     scenario: str
     assumptions: tuple[str, ...]
     expected_lefschetz: int | None
@@ -246,13 +234,9 @@ class EliminationReport:
         return tuple(c for c in self.candidates if c.status == "survives")
 
     def as_report(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "assumptions": list(self.assumptions),
-            "expected_lefschetz": self.expected_lefschetz,
-            "candidates": [c.as_record() for c in self.candidates],
-            "survivors": len(self.survivors),
-        }
+        return {**self._asdict(), "assumptions": list(self.assumptions),
+                "candidates": [c.as_record() for c in self.candidates],
+                "survivors": len(self.survivors)}
 
 
 def _replay_order22_on_big_algebraic_part() -> EliminationReport:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the record base shared across the package."""
+
+from operator import attrgetter
 
 
 class K3AutoError(Exception):
@@ -45,3 +47,34 @@ class ParseError(K3AutoError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+class Record:
+    """Base of the ``__slots__`` records, whose ``__init__`` checks its
+    arguments and sets each slot with ``object.__setattr__``.  Values of one
+    class with equal ``_fields`` are equal and hash alike, the repr is
+    ``Name(field=value, ...)``, and assigning an attribute raises
+    AttributeError.  A slot outside ``_fields`` holds a value derived from
+    them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__

@@ -13,10 +13,9 @@ at most a few hundred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import PatternError
+from .errors import PatternError, Record
 
 _UNIT_NAMES = {1: "1", 2: "-1"}  # pattern-literal names; any other block is Phi(d)
 
@@ -55,22 +54,22 @@ def _mu(d: int) -> int:
     return 0 if any(e > 1 for _, e in powers) else (-1) ** len(powers)
 
 
-@dataclass(frozen=True)
-class CyclotomicMultiset:
+class CyclotomicMultiset(Record):
     """A Galois-stable eigenvalue multiset: full Phi(d) blocks, (d, count)
     pairs sorted by strictly increasing d.  The units are blocks too: +1 is
     Phi(1) and -1 is Phi(2)."""
 
-    blocks: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[int, int], ...] = ()):
         seen = 0
-        for d, count in self.blocks:
+        for d, count in blocks:
             if count <= 0:
                 raise PatternError("block counts must be positive")
             if d <= seen:
                 raise PatternError("blocks must be sorted by strictly increasing d >= 1")
             seen = d
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "CyclotomicMultiset":
@@ -127,8 +126,7 @@ class CyclotomicMultiset:
         return self.as_literal() or "(empty)"
 
 
-@dataclass(frozen=True)
-class IsometryPattern:
+class IsometryPattern(NamedTuple):
     """Eigenvalue pattern of an isometry split along S (algebraic) and T
     (transcendental)."""
 
@@ -242,19 +240,19 @@ def local_curve_possible(weights_1: Iterable[int], weights_2: Iterable[int],
     return any((a + b) % modulus == 0 for a in w1 for b in w2)
 
 
-@dataclass(frozen=True)
-class LocalAction:
+class LocalAction(Record):
     """Linearized action at an isolated fixed point: eigenvalues
     (zeta^p, zeta^q) with zeta a primitive ``order``-th root."""
 
-    order: int
-    weights: tuple[int, int]
+    __slots__ = _fields = ("order", "weights")
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, order: int, weights: tuple[int, int]):
+        if order < 2:
             raise PatternError("order must be at least 2")
-        if any(w % self.order == 0 for w in self.weights):
+        if any(w % order == 0 for w in weights):
             raise PatternError("an isolated fixed point needs nonzero weights")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def omega_weight(self) -> int:

@@ -23,10 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import LatticeError, LatticeExprError, ParseError
+from .errors import LatticeError, LatticeExprError, ParseError, Record
 from .parsing import Lexer
 
 # Rank cap of a lattice expression, checked before any Gram matrix is built.
@@ -36,17 +35,16 @@ GramRow = tuple[int, ...]
 Gram = tuple[GramRow, ...]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A finitely generated free Z-module with an integer Gram matrix."""
 
-    gram: Gram
+    __slots__ = _fields = ("gram",)
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+    def __init__(self, gram: Gram):
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square")
-        gram = tuple(tuple(map(int, row)) for row in self.gram)
+        gram = tuple(tuple(map(int, row)) for row in gram)
         if gram != tuple(zip(*gram)):
             raise LatticeError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
@@ -79,8 +77,7 @@ class Lattice:
         return self.direct_sum(other)
 
 
-@dataclass(frozen=True)
-class SignaturePair:
+class SignaturePair(NamedTuple):
     """Counts of positive and negative squares; zeros only for degenerate
     Gram matrices."""
 
@@ -93,8 +90,7 @@ class SignaturePair:
         return (self.positives, self.negatives)
 
 
-@dataclass(frozen=True)
-class DiscGroup:
+class DiscGroup(NamedTuple):
     """Invariant factors (each dividing the next, 1's omitted) of the
     finite group dual(L)/L."""
 
@@ -476,8 +472,7 @@ def even_unimodular_exists(positives: int, negatives: int) -> bool:
     return (positives - negatives) % 8 == 0
 
 
-@dataclass(frozen=True)
-class DivisorSolveResult:
+class DivisorSolveResult(NamedTuple):
     """Solution vectors, and whether the list is certified complete (true
     only for rank <= 2 with a usable linear constraint; bounded box
     searches are never certified)."""

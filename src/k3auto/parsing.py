@@ -10,9 +10,12 @@ Polynomial grammar (whitespace-insensitive):
 `t` is the variable, `w` the quadratic generator (w^2 = d, only valid in a
 quadratic context); any other NAME must be supplied through `bindings`.
 No subexpression may have a degree, and no exponent may be, above
-`MAX_DEGREE`.  The parser works on the integer vectors: a sum is added
-once over its common denominator, `t^k` is built as a monomial, a product
-with t^k as a shift and one with a constant factor as a scaling.
+`MAX_DEGREE`, and no power, product or parsed polynomial coefficients of
+more than `MAX_COEFF_BITS` bits (as ``_bits`` counts them).  The parser
+works on the integer vectors: a sum is added once over its common
+denominator, `t^k` is built as a monomial, a product with t^k as a shift,
+one with w as a swap of the parts and one with a constant factor as a
+scaling.
 
 Eigenvalue-pattern grammar:
 
@@ -23,13 +26,13 @@ Eigenvalue-pattern grammar:
 Both grammars, and the lattice expressions of `lattice`, share one lexer.
 Its tokens are INT = [0-9]+, NAME = [A-Za-z_][A-Za-z0-9_]* and one of
 `+-*^/()[],;:`; any other character but whitespace (a digit like '²' too)
-is an error, as is input nested deeper than `MAX_NESTING` parentheses.
+is an error, as is an INT of more than `MAX_LITERAL_DIGITS` digits or
+input nested deeper than `MAX_NESTING` parentheses.
 Errors carry the character position that broke the parse.
 """
 
 from __future__ import annotations
 
-import string
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -48,12 +51,23 @@ MAX_NESTING = 100
 # whatever its base, so a constant's power cannot grow without bound.
 MAX_DEGREE = 150
 
+# Coefficient budget, in bits as ``_bits`` counts them, of a power (its exponent
+# times its base's) and a product (the sum of its operands'), both checked
+# before they are expanded, constant bases included, and of a parsed
+# polynomial, which also bounds what sums and products by t^k or w add.  Just
+# above the 2,720 bits of the B^20 gcd ladder that CI runs; README has timings.
+MAX_COEFF_BITS = 3000
+
+# Longest INT token, below the interpreter's 4,300-digit limit on converting
+# between int and str.
+MAX_LITERAL_DIGITS = 1000
+
 # Largest d in Phi(d): every d > 66 has phi(d) > 22, too large for a rank-22
 # pattern, and the cap bounds the totient's trial division at 10^3 steps.
 MAX_BLOCK_ORDER = 10**6
 
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
 
@@ -78,6 +92,8 @@ class Lexer:
                 j = i
                 while j < len(text) and text[j] in _DIGITS:
                     j += 1
+                if j - i > MAX_LITERAL_DIGITS:
+                    raise ParseError(f"integer longer than {MAX_LITERAL_DIGITS} digits", i)
                 self.tokens.append(("INT", text[i:j], i))
                 i = j
                 continue
@@ -121,6 +137,26 @@ def _is_monomial(p: Poly) -> bool:
     return p.den == 1 and not p.ys and p.xs[-1:] == (1,) and not any(p.xs[:-1])
 
 
+def _is_w(p: Poly) -> bool:
+    """Whether p is the generator w."""
+    return p.den == 1 and p.xs == (0,) and p.ys == (1,)
+
+
+def _bits(p: Poly) -> int:
+    """Size of p's coefficients: the bits of its largest entry or denominator,
+    plus those of its number of coefficients and, with a w part, of |d|.  The
+    entries of p*q have at most _bits(p) + _bits(q) bits, those of p^n at
+    most n*_bits(p)."""
+    xs, ys = p.xs or (0,), p.ys or (0,)
+    top = max(p.den, max(xs), -min(xs), max(ys), -min(ys)).bit_length()
+    return top + len(p.xs).bit_length() + (abs(p.context.d).bit_length() if p.ys else 0)
+
+
+def _check_bits(bits: int, what: str, pos: int) -> None:
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"{what} exceeds the coefficient budget of {MAX_COEFF_BITS} bits", pos)
+
+
 class _PolyParser:
     def __init__(self, text: str, context: FieldContext,
                  bindings: Mapping[str, _BindingValue] | None):
@@ -133,6 +169,7 @@ class _PolyParser:
         tok = self.lx.peek()
         if tok[0] != "END":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        _check_bits(_bits(p), "polynomial", 0)
         return p
 
     def _expr(self) -> Poly:
@@ -149,12 +186,15 @@ class _PolyParser:
             q = self._factor()
             if p.degree + q.degree > MAX_DEGREE:
                 raise ParseError(f"product exceeds the degree cap {MAX_DEGREE}", pos)
-            if _is_monomial(p):
+            if _is_monomial(p) or _is_w(p):
                 p, q = q, p
             if _is_monomial(q):  # p shifted up deg q places
                 pad = (0,) * q.degree
                 p = Poly(self.context, pad + p.xs, pad + p.ys if p.ys else (), p.den) if p.xs else p
+            elif _is_w(q):  # p*w = d*ys + xs*w; a chain of w is checked with the polynomial
+                p = _poly(self.context, [self.context.d * y for y in p.ys], list(p.xs), p.den)
             else:
+                _check_bits(_bits(p) + _bits(q), "product", pos)
                 p = p * q if p.degree > 0 and q.degree > 0 else p.scale(q)
         return p
 
@@ -170,7 +210,11 @@ class _PolyParser:
             n, k = int(tok[1]), p.degree
             if n * max(k, 1) > MAX_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", tok[2])
-            p = Poly.monomial(self.context, k * n) if _is_monomial(p) else p ** n
+            if _is_monomial(p):
+                p = Poly.monomial(self.context, k * n)
+            else:
+                _check_bits(n * _bits(p), "power", tok[2])
+                p = p ** n
         return -p if negate else p
 
     def _atom(self) -> Poly:
@@ -193,7 +237,7 @@ class _PolyParser:
         if kind == "NAME":
             self.lx.next()
             if value == "t":
-                return Poly.variable(self.context)
+                return Poly(self.context, (0, 1))
             if value == "w":
                 if not self.context.is_quadratic:
                     raise ParseError("'w' needs a quadratic context", pos)

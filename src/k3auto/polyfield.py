@@ -16,16 +16,16 @@ depends on a prime.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import count, repeat
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ContextMismatchError,
     InvalidPlaceError,
+    Record,
     ZeroPolynomialError,
 )
 
@@ -38,8 +38,7 @@ def _is_squarefree_int(n: int) -> bool:
     return n != 0 and all(n % (k * k) for k in range(2, isqrt(abs(n)) + 1))
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(Record):
     """Ground field: the rationals, or Q(sqrt(d)) for squarefree d != 1 with
     |d| <= MAX_ABS_D (a squarefree d > 1 is never a square).
 
@@ -47,14 +46,15 @@ class FieldContext:
     between elements of unequal contexts raises ContextMismatchError.
     """
 
-    d: int | None = None
+    __slots__ = _fields = ("d",)
 
-    def __post_init__(self):
-        if self.d is not None:
-            if abs(self.d) > MAX_ABS_D:
-                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {self.d}")
-            if self.d == 1 or not _is_squarefree_int(self.d):
-                raise ValueError(f"d must be squarefree and not a square, got {self.d}")
+    def __init__(self, d: int | None = None):
+        if d is not None:
+            if abs(d) > MAX_ABS_D:
+                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {d}")
+            if d == 1 or not _is_squarefree_int(d):
+                raise ValueError(f"d must be squarefree and not a square, got {d}")
+        object.__setattr__(self, "d", d)
 
     @property
     def is_quadratic(self) -> bool:
@@ -83,15 +83,17 @@ class FieldContext:
 RATIONALS = FieldContext()
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """x + y*sqrt(d), exact.  y stays 0 in a rational context.  An element
     is the Fraction view of a constant polynomial, and its arithmetic is
     the polynomial kernel's on constants."""
 
-    context: FieldContext
-    x: Fraction
-    y: Fraction = Fraction(0)
+    __slots__ = _fields = ("context", "x", "y")
+
+    def __init__(self, context: FieldContext, x: Fraction, y: Fraction = Fraction(0)):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def _apply(self, op, other, reflected: bool = False):
         if isinstance(other, FieldElement):
@@ -168,8 +170,7 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Dense polynomial in t over a FieldContext: coefficient k is
     (xs[k] + ys[k]*w)/den.  The form is normal, so equal polynomials have
     equal fields: no trailing zero pair, ys empty when no coefficient has a
@@ -177,10 +178,14 @@ class Poly:
     the entries.  Arithmetic and ``str`` run on these ints; a coefficient
     becomes a FieldElement only on request (``coefficient``)."""
 
-    context: FieldContext
-    xs: tuple[int, ...]
-    ys: tuple[int, ...] = ()
-    den: int = 1
+    __slots__ = _fields = ("context", "xs", "ys", "den")
+
+    def __init__(self, context: FieldContext, xs: tuple[int, ...], ys: tuple[int, ...] = (),
+                 den: int = 1):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def make(cls, context: FieldContext, coeffs: Iterable) -> "Poly":
@@ -727,12 +732,11 @@ def place_order(places: list[tuple]) -> list[tuple]:
     return sorted(places, key=key)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A closed point of the affine line, given by its monic squarefree
     generator, or the place at infinity (generator None); the generator's
-    degree counts geometric points.  A plain record: ``valuation`` checks
-    a place a caller passes in, the fiber analysis takes its places from
+    degree counts geometric points.  Unchecked: ``valuation`` checks a
+    place a caller passes in, the fiber analysis takes its places from
     Yun factors or ``gcdfree_basis``, squarefree by construction."""
 
     generator: Poly | None

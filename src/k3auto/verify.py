@@ -9,9 +9,8 @@ JSON-serializable for golden-file testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ellsurf import (
     FiberAnalysis,
@@ -38,8 +37,7 @@ from .parsing import parse_poly
 from .polyfield import FieldContext, Poly, RATIONALS, squarefree_decompose
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail"
     expected: object
@@ -47,17 +45,10 @@ class ScenarioResult:
     anchor: str
 
     def as_record(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "anchor": self.anchor,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[ScenarioResult, ...]
 
     @property

@@ -496,12 +496,41 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
                  id="nested-power"),
     pytest.param(["surface", "analyze", "--a", "0", "--b", "(t+1)^3000*(t+1)^3000"],
                  id="product-of-powers"),
+    # over parsing.MAX_COEFF_BITS, checked from the operands before expanding
+    pytest.param(["surface", "analyze", "--a", "1", "--b", "(((7^150)^150)^150)^150*t + 1"],
+                 id="nested-constant-power"),
+    *(pytest.param(["surface", "analyze", "--a", f"({'9' * n}*t^2 + 1)^75", "--b", "t^150 + 1"],
+                   id=f"{n}-digit-power") for n in (40, 100, 400, 4000)),
+    pytest.param(["surface", "analyze", "--a", "0", "--b", "*".join(["7^150"] * 20) + "*t + 1"],
+                 id="product-of-constant-powers"),
+    # each power within the budget, their product not
+    pytest.param(["surface", "analyze", "--a", "*".join([f"({'9' * 35}*t^2 + 1)^25"] * 3),
+                  "--b", "t^150 + 1"], id="split-power"),
+    # over parsing.MAX_LITERAL_DIGITS, below the interpreter's int-to-str limit
+    pytest.param(["surface", "analyze", "--a", "0", "--b", "9" * 5000 + "*t + 1"],
+                 id="poly-literal"),
+    pytest.param(["lattice", f"U({'9' * 5000})"], id="lattice-literal"),
 ])
 def test_oversized_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Exceeds the limit" not in err  # the interpreter's, with no position
+
+
+def test_worst_accepted_coefficients_are_answered(capsys):
+    # at MAX_COEFF_BITS: one bit more in 137438953471 or 131071 is a usage
+    # error; the slowest input of this shape found, about 2 s
+    a, b = "(137438953471*t^2 + w)^75", "(131071*t + w)^150"
+    code, out, err = run(capsys, ["surface", "analyze", "--a", a, "--b", b, "--field", "w2=-1"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["euler_total"] == 12 * report["k"] == 456
+    assert [f["degree"] for f in report["fibers"]] == [1, 2, 450, 1]  # b's, a's, Delta's, infinity
+    for a, b in (("(137438953472*t^2 + w)^75", b), (a, "(131072*t + w)^150")):
+        code, _, err = run(capsys, ["surface", "analyze", "--a", a, "--b", b, "--field", "w2=-1"])
+        assert code == 2 and "exceeds the coefficient budget" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -515,6 +544,18 @@ def test_non_ascii_digit_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == message
+
+
+def test_import_loads_no_dataclasses():
+    # records are named tuples and __slots__ classes and the lexer spells out
+    # its character sets, so a cold start generates no code and imports no
+    # dataclasses, inspect or string (-S: nothing from site-packages either)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, k3auto.cli; "
+             "sys.exit(bool({'dataclasses', 'inspect', 'string'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0
 
 
 def test_import_loads_no_sympy():

@@ -117,6 +117,21 @@ def test_model_validation_and_k():
     assert model("1", "1").k == 1
 
 
+def test_derived_fields_stay_out_of_equality_and_repr():
+    # delta and euler_total are computed once, at construction, and neither
+    # is compared, hashed, shown or assignable
+    m, twin = model("1", "t^11 - 1"), model("1", "t^11 - 1")
+    assert m == twin and hash(m) == hash(twin) and m.delta is not twin.delta
+    assert m != (m.a, m.b) and m.delta == parse_poly("27*t^22 - 54*t^11 + 31", Q)
+    assert repr(m) == "WeierstrassModel(a=Poly(1), b=Poly(t^11 - 1))"
+    config = FiberConfiguration(((1, "II*", 1), (1, "II", 1)))
+    assert config == FiberConfiguration(entries=((1, "II*", 1), (1, "II", 1)))
+    assert repr(config) == "FiberConfiguration(entries=((1, 'II*', 1), (1, 'II', 1)))"
+    for value, field in ((m, "delta"), (m, "a"), (config, "euler_total")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
 def test_sixty_six_surface():
     # a = 0, b = t^11 - 1: eleven II fibers in one degree-11 place, II at
     # infinity, Euler number 24, K3

@@ -74,7 +74,7 @@ def test_block_trace_matches_numeric_root_sums():
 def test_multiset_normalization_and_validation():
     # +1 is Phi(1) and -1 is Phi(2): one stored form, sorted by d
     m = CyclotomicMultiset.from_counts({1: 4, 2: 8, 11: 1})
-    assert vars(m) == {"blocks": ((1, 4), (2, 8), (11, 1))}
+    assert m.__slots__ == ("blocks",) and m.blocks == ((1, 4), (2, 8), (11, 1))
     assert CyclotomicMultiset.from_counts({11: 1, 2: 8, 1: 4, 22: 0}) == m
     assert CyclotomicMultiset.units(plus=2, minus=3).blocks == ((1, 2), (2, 3))
     assert CyclotomicMultiset.block(2, 3) == CyclotomicMultiset.units(minus=3)

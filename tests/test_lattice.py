@@ -520,13 +520,13 @@ def test_lattice_expression_grammar():
 
 def test_sum_is_built_once(monkeypatch):
     ranks = []
-    validate = Lattice.__post_init__
+    build = Lattice.__init__
 
-    def record(self):
-        validate(self)
+    def record(self, gram):
+        build(self, gram)
         ranks.append(self.rank)
 
-    monkeypatch.setattr(Lattice, "__post_init__", record)
+    monkeypatch.setattr(Lattice, "__init__", record)
     lat = build_lattice("U + (A10 + E8) + D4")
     # the four summands, then the sum: no intermediate sum is built
     assert ranks == [2, 10, 8, 4, 24]
@@ -534,6 +534,17 @@ def test_sum_is_built_once(monkeypatch):
     parts = (hyperbolic_plane(), root_lattice_A(10), root_lattice_E(8), root_lattice_D(4))
     assert lat == parts[0] + parts[1] + parts[2] + parts[3]
     assert parts[0].direct_sum(*parts[1:]) == lat
+
+
+def test_lattice_record_contract():
+    lat, twin = hyperbolic_plane(11), Lattice([[0, 11], [11, 0]])
+    assert lat == twin and hash(lat) == hash(twin)
+    assert lat != (((0, 11), (11, 0)),) and lat != hyperbolic_plane(-11)
+    with pytest.raises(AttributeError):
+        lat.gram = ((0, 1), (1, 0))
+    with pytest.raises(AttributeError):
+        lat.label = "U(11)"
+    assert repr(lat) == "Lattice(gram=((0, 11), (11, 0)))"
 
 
 def test_gram_validation():

@@ -612,6 +612,46 @@ def test_parse_poly_sum_contract():
     assert str(parse_poly("--t", Q)) == "t"
 
 
+def test_parse_poly_coefficient_caps():
+    # an INT longer than MAX_LITERAL_DIGITS is refused at its first digit; a
+    # power or product whose coefficients parsing._bits estimates above
+    # MAX_COEFF_BITS is refused at its exponent or '*' before it is expanded,
+    # constant bases included, and so is a parsed polynomial over the budget
+    digits, budget = parsing.MAX_LITERAL_DIGITS, parsing.MAX_COEFF_BITS
+    product = "*".join(["2^150"] * 20)  # 2^150 counts 152 bits
+    for text, message, position in (
+            (f"t + {'9' * (digits + 1)}", f"integer longer than {digits} digits", 4),
+            ("(((7^150)^150)^150)^150*t + 1", "power", 10),
+            ("(2^100)^31*t", "power", 8),
+            (product, "product", len("*".join(["2^150"] * 19))),
+            ("9" * (budget * 3 // 10 + 10), "polynomial", 0)):
+        if not message.startswith("integer"):
+            message += f" exceeds the coefficient budget of {budget} bits"
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, Q)
+        assert str(err.value) == f"{message} (at position {position})", text[:40]
+    assert parse_poly("(2^100)^29*t", Q) == Poly(Q, (0, 2 ** 2900))
+    assert parse_poly("*".join(["2^150"] * 19), Q) == Poly(Q, (2 ** 2850,))
+    assert parsing.Lexer("9" * digits).tokens[0] == ("INT", "9" * digits, 0)
+    assert parse_poly("9" * 900 + "*t", Q).xs[1] == 10 ** 900 - 1  # 2,990 bits
+
+
+def test_record_contract_of_poly_and_field_context():
+    # equal fields give equal values that hash alike; a value never equals
+    # the tuple of its fields; no attribute can be assigned
+    p, twin = Poly(QW3, (1, 2), (0, 3), 5), parse_poly("1/5 + (2/5 + 3/5*w)*t", QW3)
+    assert p == twin and hash(p) == hash(twin)
+    assert p != (QW3, (1, 2), (0, 3), 5) and p != Poly(QW3, (1, 2), (0, 3))
+    assert FieldContext(-3) == QW3 and hash(FieldContext(-3)) == hash(QW3)
+    assert QW3 != (-3,) and FieldContext() == Q != QW3
+    for value, field in ((p, "xs"), (p, "den"), (QW3, "d")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            setattr(value, "label", 1)
+    assert repr(QW3) == "FieldContext(d=-3)" and repr(p) == "Poly((2/5 + 3/5*w)*t + 1/5)"
+
+
 def _fibers_batch_texts():
     """The (text, context) pairs the benchmark's fibers-batch ops parse."""
     texts = []

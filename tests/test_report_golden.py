@@ -33,6 +33,35 @@ def test_cli_stdout_matches_golden_digest(argv, capsys, monkeypatch):
     assert workloads.digest(out) == CLI_GOLDEN[" ".join(argv)]
 
 
+FIBER_ORBITS = ("enumerate", "perfbench/cli/fiber_orbits.json")
+
+
+def _refuse(self, *args):
+    raise AssertionError("rendered a format that is not printed")
+
+
+def test_json_report_renders_no_text(capsys, monkeypatch):
+    monkeypatch.chdir(PERFBENCH.parent)
+    monkeypatch.delenv("K3_REPORT_FORMAT", raising=False)
+    monkeypatch.setattr(enumerations.OrbitConfig, "__str__", _refuse)
+    code = cli.main(list(FIBER_ORBITS))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert workloads.digest(out) == CLI_GOLDEN[" ".join(FIBER_ORBITS)]
+
+
+def test_text_report_renders_no_json(capsys, monkeypatch):
+    monkeypatch.chdir(PERFBENCH.parent)
+    monkeypatch.setattr(enumerations.OrbitConfig, "as_record", _refuse)
+    code = cli.main(["--text", *FIBER_ORBITS])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == ("3 configuration(s)\n"
+                   "  [0: I0, inf: II, orbits: 11xI1, 11xI1]\n"
+                   "  [0: I0, inf: II, orbits: 11xI2]\n"
+                   "  [0: I0, inf: II, orbits: 11xII]\n")
+
+
 @pytest.mark.parametrize("key", sorted(PAPER_REPORTS))
 def test_paper_report_matches_golden_digest(key):
     assert workloads.digest(PAPER_REPORTS[key]()) == PAPER_GOLDEN[key]
