@@ -11,11 +11,12 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
     index := INT | '(' INT ')'          written A10, A 10 or A(10)
 
 INT may carry a leading '-' with no space after it; rank is capped at
-`MAX_LATTICE_RANK`.  Invariants are exact per orthogonal component: det and
-signature by a Bareiss elimination that touches only the rows it eliminates,
-discriminant groups by Smith form mod gcd(|det|, M_{n-1}), the pivot before
-the last, or by none where that gcd is 1 (a cyclic group) or, in
-`is_p_elementary`, where |det| is not a power of p.
+`MAX_LATTICE_RANK`, and a bound on the bits of |det| at `MAX_DET_BITS`.
+Invariants are exact per orthogonal component: det and signature by a Bareiss
+elimination that touches only the rows it eliminates, discriminant groups by
+Smith form mod gcd(|det|, M_{n-1}), the pivot before the last, or by none
+where that gcd is 1 (a cyclic group) or, in `is_p_elementary`, where |det| is
+not a power of p.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .parsing import Lexer
 
 # Rank cap of a lattice expression, checked before any Gram matrix is built.
 MAX_LATTICE_RANK = 256
+
+# Cap on a bound of the bits of |det|, and so of every number a report prints,
+# checked at each atom and twist before it is built: at most 4,215 digits, below
+# the interpreter's 4,300-digit int-to-str limit, above U(m) + U(m), m 1,000 digits.
+MAX_DET_BITS = 14000
 
 GramRow = tuple[int, ...]
 Gram = tuple[GramRow, ...]
@@ -152,7 +158,7 @@ class _LatticeExprParser:
 
     def __init__(self, text: str):
         self.lx = Lexer(text)
-        self.rank = 0
+        self.rank = self.det_bits = 0
 
     def parse(self) -> Lattice:
         first, *rest = self._expr()
@@ -171,7 +177,9 @@ class _LatticeExprParser:
     def _term(self) -> list[Lattice]:
         summands = self._atom()
         while self.lx.peek()[0] == "(":
+            pos = self.lx.peek()[2]
             m = self._paren_number()
+            self._reserve(0, sum(lat.rank for lat in summands) * abs(m).bit_length(), pos)
             summands = [lat.twist(m) for lat in summands]
         return summands
 
@@ -183,7 +191,7 @@ class _LatticeExprParser:
             return summands
         if kind == "NAME" and name == "U":
             m = self._paren_number() if self.lx.peek()[0] == "(" else 1
-            self._reserve(2)
+            self._reserve(2, 2 * abs(m).bit_length(), pos)  # det -m^2
             return [hyperbolic_plane(m)]
         root = _ROOT_LATTICES.get(name[:1]) if kind == "NAME" else None
         suffix = name[1:]
@@ -195,15 +203,20 @@ class _LatticeExprParser:
             index = self._paren_number()
         else:
             index = self._number()
-        self._reserve(index)
+        self._reserve(index, (index + 1).bit_length(), pos)  # det n + 1, 4 or 9 - n
         return [root(index)]
 
-    def _reserve(self, rank: int) -> None:
-        # one check covers the atom and the running rank: a negative index,
-        # which lowers the count, is rejected by its builder right after
+    def _reserve(self, rank: int, det_bits: int, pos: int) -> None:
+        # running totals, checked at each atom and twist: |det| has at most
+        # the bits of the atoms' dets plus rank * bits(m) for each twist by m;
+        # a negative index, which lowers the rank, is rejected by its builder
         self.rank += rank
         if self.rank > MAX_LATTICE_RANK:
             raise LatticeExprError(f"lattice rank exceeds {MAX_LATTICE_RANK}")
+        self.det_bits += det_bits
+        if self.det_bits > MAX_DET_BITS:
+            raise LatticeExprError(
+                f"|det| may exceed the cap of {MAX_DET_BITS} bits at position {pos}")
 
     def _paren_number(self) -> int:
         self.lx.expect("(")

@@ -8,7 +8,8 @@ Polynomial grammar (whitespace-insensitive):
     atom   := '(' expr ')' | INT ['/' INT] | NAME
 
 `t` is the variable, `w` the quadratic generator (w^2 = d, only valid in a
-quadratic context); any other NAME must be supplied through `bindings`.
+quadratic context); any other NAME must be supplied through `bindings`,
+each a Poly of the parser's context, an int or a Fraction.
 No subexpression may have a degree, and no exponent may be, above
 `MAX_DEGREE`, and no power, product or parsed polynomial coefficients of
 more than `MAX_COEFF_BITS` bits (as ``_bits`` counts them).  The parser
@@ -38,9 +39,9 @@ from typing import Mapping, Union
 
 from .errors import ParseError
 from .isometry import CyclotomicMultiset, IsometryPattern
-from .polyfield import FieldContext, FieldElement, Poly, _poly, poly_sum
+from .polyfield import FieldContext, Poly, _poly, poly_sum
 
-_BindingValue = Union[FieldElement, int, Fraction]
+_BindingValue = Union[Poly, int, Fraction]
 
 # Every open parenthesis is one level of parser recursion; the cap keeps the
 # deepest parse well inside Python's recursion limit.
@@ -244,9 +245,9 @@ class _PolyParser:
                 return Poly(self.context, (0,), (1,))
             if value in self.bindings:
                 bound = self.bindings[value]
-                if isinstance(bound, FieldElement) and bound.context != self.context:
+                if isinstance(bound, Poly) and bound.context != self.context:
                     raise ParseError(f"binding {value!r} from another context", pos)
-                return Poly.constant(self.context, bound)
+                return bound if isinstance(bound, Poly) else Poly.constant(self.context, bound)
             raise ParseError(f"unbound name {value!r}", pos)
         raise ParseError(f"expected a value, found {value or 'end of input'!r}", pos)
 

@@ -3,8 +3,10 @@
 A polynomial is stored as integer vectors over one denominator,
 (xs + ys*w)/den with w^2 = d (FLINT's fmpq_poly layout), and its
 arithmetic runs on Python ints, and so do its text and the order of the
-fiber places.  Scalars x + y*sqrt(d) with Fraction parts are the API edge
-(``Poly.make``, ``Poly.coefficient``); one prints as its constant polynomial.
+fiber places.  There is no scalar type: a constant is a polynomial of
+degree 0.  Fractions meet the vectors only at the API edge: ``Poly.make``
+takes ints, Fractions or (x, y) pairs, ``Poly.coefficient`` gives a
+read-only ``Coefficient`` pair.
 Squarefree structure comes from Yun decomposition and a gcd-free basis;
 there is no irreducible factorization, places of the affine line are
 monic squarefree generators.  ``poly_gcd`` is a modular gcd (Encarnacion,
@@ -15,7 +17,6 @@ depends on a prime.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import count, repeat
@@ -43,7 +44,7 @@ class FieldContext(Record):
     |d| <= MAX_ABS_D (a squarefree d > 1 is never a square).
 
     Two contexts are interchangeable exactly when they are equal; arithmetic
-    between elements of unequal contexts raises ContextMismatchError.
+    between polynomials of unequal contexts raises ContextMismatchError.
     """
 
     __slots__ = _fields = ("d",)
@@ -60,22 +61,6 @@ class FieldContext(Record):
     def is_quadratic(self) -> bool:
         return self.d is not None
 
-    def element(self, x: int | Fraction, y: int | Fraction = 0) -> "FieldElement":
-        x, y = Fraction(x), Fraction(y)
-        if y and not self.is_quadratic:
-            raise ValueError("rational context has no sqrt generator")
-        return FieldElement(self, x, y)
-
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def generator(self) -> "FieldElement":
-        """The element w with w^2 = d."""
-        return self.element(0, 1)
-
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
 
@@ -83,65 +68,12 @@ class FieldContext(Record):
 RATIONALS = FieldContext()
 
 
-class FieldElement(Record):
-    """x + y*sqrt(d), exact.  y stays 0 in a rational context.  An element
-    is the Fraction view of a constant polynomial, and its arithmetic is
-    the polynomial kernel's on constants."""
+class Coefficient(NamedTuple):
+    """Coefficient x + y*w of a polynomial as two Fractions: a read-only
+    view, with no arithmetic and no context."""
 
-    __slots__ = _fields = ("context", "x", "y")
-
-    def __init__(self, context: FieldContext, x: Fraction, y: Fraction = Fraction(0)):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def _apply(self, op, other, reflected: bool = False):
-        if isinstance(other, FieldElement):
-            if other.context != self.context:
-                raise ContextMismatchError(f"mixed contexts {self.context} and {other.context}")
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        a, b = Poly.constant(self.context, self), Poly.constant(self.context, other)
-        return (op(b, a) if reflected else op(a, b)).coefficient(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __add__(self, other):
-        return self._apply(operator.add, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._apply(operator.sub, other)
-
-    def __mul__(self, other):
-        return self._apply(operator.mul, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._apply(operator.floordiv, other)
-
-    def __rtruediv__(self, other):
-        return self._apply(operator.floordiv, other, reflected=True)
-
-    def norm(self) -> Fraction:
-        """Field norm x^2 - d*y^2 (equals x^2 in the rational case)."""
-        return self.x * self.x - (self.context.d or 0) * self.y * self.y
-
-    def inverse(self) -> "FieldElement":
-        return 1 / self
-
-    def __str__(self) -> str:
-        return str(Poly.constant(self.context, self))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self})"
+    x: Fraction
+    y: Fraction
 
 
 @total_ordering
@@ -175,8 +107,9 @@ class Poly(Record):
     (xs[k] + ys[k]*w)/den.  The form is normal, so equal polynomials have
     equal fields: no trailing zero pair, ys empty when no coefficient has a
     w part (always over Q) and else as long as xs, den > 0 and coprime to
-    the entries.  Arithmetic and ``str`` run on these ints; a coefficient
-    becomes a FieldElement only on request (``coefficient``)."""
+    the entries.  Arithmetic and ``str`` run on these ints; a constant is a
+    Poly of degree 0, and a coefficient is read out as Fractions only on
+    request (``coefficient``)."""
 
     __slots__ = _fields = ("context", "xs", "ys", "den")
 
@@ -189,19 +122,18 @@ class Poly(Record):
 
     @classmethod
     def make(cls, context: FieldContext, coeffs: Iterable) -> "Poly":
-        """Build from a low-to-high iterable of elements / ints / Fractions."""
-        cs = [c if isinstance(c, FieldElement) else context.element(c) for c in coeffs]
-        if any(c.context != context for c in cs):
-            raise ContextMismatchError("coefficient from another context")
-        den = lcm(*(q.denominator for c in cs for q in (c.x, c.y)))
-        return _poly(context, [c.x.numerator * den // c.x.denominator for c in cs],
-                     [c.y.numerator * den // c.y.denominator for c in cs], den)
+        """Build from a low-to-high iterable of ints, Fractions or (x, y)
+        pairs of them, each x + y*w."""
+        cs = [tuple(map(Fraction, c)) if isinstance(c, tuple) else (Fraction(c), 0) for c in coeffs]
+        if not context.is_quadratic and any(y for _, y in cs):
+            raise ValueError("rational context has no sqrt generator")
+        den = lcm(*(q.denominator for c in cs for q in c))
+        return _poly(context, [x.numerator * den // x.denominator for x, _ in cs],
+                     [y.numerator * den // y.denominator for _, y in cs], den)
 
     @classmethod
-    def constant(cls, context: FieldContext, value) -> "Poly":
-        if isinstance(value, (int, Fraction)):
-            return _poly(context, [value.numerator], [], value.denominator)
-        return cls.make(context, [value])
+    def constant(cls, context: FieldContext, value: int | Fraction) -> "Poly":
+        return _poly(context, [value.numerator], [], value.denominator)
 
     @classmethod
     def monomial(cls, context: FieldContext, k: int) -> "Poly":
@@ -230,26 +162,25 @@ class Poly(Record):
         return len(self.xs) <= 1
 
     @property
-    def coefficients(self) -> tuple[FieldElement, ...]:
-        return tuple(self.coefficient(k) for k in range(len(self.xs)))
+    def coefficients(self) -> tuple[Coefficient, ...]:
+        return tuple(map(self.coefficient, range(len(self.xs))))
 
-    def leading_coefficient(self) -> FieldElement:
+    def leading_coefficient(self) -> "Poly":
+        """The top coefficient, as a constant."""
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coefficient(self.degree)
+        return _poly(self.context, [self.xs[-1]], [self.ys[-1]] if self.ys else [], self.den)
 
-    def coefficient(self, k: int) -> FieldElement:
-        if not 0 <= k < len(self.xs):
-            return self.context.zero()
-        y = self.ys[k] if self.ys else 0
-        return FieldElement(self.context, Fraction(self.xs[k], self.den), Fraction(y, self.den))
+    def coefficient(self, k: int) -> Coefficient:
+        x, y = (self.xs[k], self.ys[k] if self.ys else 0) if 0 <= k < len(self.xs) else (0, 0)
+        return Coefficient(Fraction(x, self.den), Fraction(y, self.den))
 
     def _check(self, other: "Poly") -> "Poly":
         if isinstance(other, Poly):
             if other.context != self.context:
                 raise ContextMismatchError("mixed polynomial contexts")
             return other
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (int, Fraction)):
             return Poly.constant(self.context, other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -279,7 +210,7 @@ class Poly(Record):
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        """self times c: an element, int, Fraction or constant Poly."""
+        """self times c: an int, a Fraction or a constant Poly."""
         return _product(self, self._check(c))
 
     def __pow__(self, n: int) -> "Poly":
@@ -365,11 +296,9 @@ class Poly(Record):
         return _poly(self.context, [i * x for i, x in enumerate(self.xs)][1:],
                      [i * y for i, y in enumerate(self.ys)][1:], self.den)
 
-    def evaluate(self, value: FieldElement) -> FieldElement:
-        acc = self.context.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * value + c
-        return acc
+    def evaluate(self, value) -> "Poly":
+        """The constant self(value), for an int, a Fraction or a constant Poly."""
+        return self % (Poly.variable(self.context) - value)
 
     def __str__(self) -> str:
         """Terms from the top, each coefficient as ``_scalar_text`` writes
@@ -645,9 +574,10 @@ def is_squarefree(p: Poly) -> bool:
     return poly_gcd(p, p.derivative()).is_constant
 
 
-def squarefree_decompose(p: Poly) -> tuple[FieldElement, list[tuple[Poly, int]]]:
-    """Yun decomposition p = content * prod f_i^{m_i} (f_i monic, squarefree,
-    pairwise coprime, characteristic zero).  Needs degree >= 1."""
+def squarefree_decompose(p: Poly) -> tuple[Poly, list[tuple[Poly, int]]]:
+    """Yun decomposition p = content * prod f_i^{m_i} (content the leading
+    coefficient as a constant; f_i monic, squarefree, pairwise coprime,
+    characteristic zero).  Needs degree >= 1."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     if p.is_constant:

@@ -9,7 +9,6 @@ JSON-serializable for golden-file testing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .ellsurf import (
@@ -80,7 +79,7 @@ _QW3 = FieldContext(d=-3)
 
 def _special_s():
     # s = (2/9) sqrt(-3) satisfies s^2 = -4/27
-    return _QW3.element(0, Fraction(2, 9))
+    return parse_poly("2/9*w", _QW3)
 
 
 def _model(a_text: str, b_text: str, context=RATIONALS, **bindings) -> WeierstrassModel:

@@ -1,6 +1,6 @@
 """Shared random generators for the property and acceptance suites, the
-sympy oracles and the loader of the benchmark's workloads for the golden
-tests.
+sympy oracles and the loader of the benchmark's modules for the golden
+and tracer tests.
 
 Everything is driven by an explicit ``random.Random`` instance so failures
 reproduce exactly.
@@ -21,12 +21,13 @@ QI = FieldContext(d=-1)  # -1 is a square modulo no prime = 3 mod 4
 CONTEXTS = (RATIONALS, QW3, QR5)
 
 
-def random_element(rng, context, span=6):
+def random_coefficient(rng, context, span=6):
+    """A random x + y*w as the (x, y) pair that ``Poly.make`` takes."""
     x = Fraction(rng.randint(-span, span), rng.randint(1, 4))
     y = 0
     if context.is_quadratic and rng.random() < 0.5:
         y = Fraction(rng.randint(-span, span), rng.randint(1, 4))
-    return context.element(x, y)
+    return x, y
 
 
 def random_poly(rng, context, max_degree=6, span=6):
@@ -34,9 +35,9 @@ def random_poly(rng, context, max_degree=6, span=6):
     coeffs = []
     for _ in range(degree + 1):
         if rng.random() < 0.3:  # keep the polynomials sparse
-            coeffs.append(context.zero())
+            coeffs.append(0)
         else:
-            coeffs.append(random_element(rng, context, span))
+            coeffs.append(random_coefficient(rng, context, span))
     return Poly.make(context, coeffs)
 
 
@@ -103,9 +104,8 @@ def congruent_gram(u, gram):
 
 def reversed_to(p, degree):
     """Coefficient reversal of p inside the window [0, degree]."""
-    context = p.context
     padded = [p.coefficient(i) for i in range(degree + 1)]
-    return Poly.make(context, list(reversed(padded)))
+    return Poly.make(p.context, padded[::-1])
 
 
 def sympy_domain(context):
@@ -133,12 +133,12 @@ def sympy_poly(p, domain):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_workloads():
-    """The benchmark's ``perfbench/workloads.py``, loaded read-only (once),
-    so a golden test checks the same pool, ops and digests as the benchmark."""
-    name = "perfbench_workloads"
+def load_perfbench(stem):
+    """The benchmark's ``perfbench/<stem>.py``, loaded read-only (once), so a
+    test checks the same pool, ops, digests and metrics as the benchmark."""
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # its dataclasses look their module up
         spec.loader.exec_module(module)

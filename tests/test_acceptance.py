@@ -45,7 +45,7 @@ from k3auto.lattice import (
 from k3auto.parsing import parse_pattern, parse_poly
 from k3auto.polyfield import Poly, RATIONALS, poly_gcd, squarefree_decompose
 
-S_SPECIAL = QW3.element(0, Fraction(2, 9))  # s with s^2 = -4/27
+S_SPECIAL = Poly.make(QW3, [(0, Fraction(2, 9))])  # s with s^2 = -4/27
 
 
 _CAPTURE = None
@@ -157,7 +157,7 @@ def test_criterion_04_rational_quotient_surfaces():
     place_poly = next(
         f.place.generator for f in j3.fibers if f.kodaira_type == "I1"
     )
-    assert place_poly.evaluate(QW3.zero()).is_zero
+    assert place_poly.evaluate(0).is_zero
     assert place_poly.evaluate(S_SPECIAL + S_SPECIAL).is_zero
     assert (j1.euler_total, j2.euler_total, j3.euler_total) == (12, 12, 12)
     assert {str(s.surface) for s in (j1, j2, j3)} == {"rational"}
@@ -293,7 +293,7 @@ def test_criterion_11_randomized_property_suites():
     for i in range(cases):
         context = QW3 if i % 5 == 0 else RATIONALS
         model = random_model(rng, context, max_degree=4)
-        lam = context.element(rng.choice(lambdas))
+        lam = Poly.constant(context, rng.choice(lambdas))
         lam4 = lam * lam * lam * lam
         lam6 = lam4 * lam * lam
         scaled = WeierstrassModel(model.a.scale(lam4), model.b.scale(lam6))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from k3auto import cli
+from k3auto import cli, lattice
 from k3auto.cli import main
 from k3auto.verify import SCENARIOS, ScenarioResult
 
@@ -48,6 +48,32 @@ def test_lattice_text(capsys):
 def test_lattice_bad_expression_is_usage_error(capsys):
     code, _, _ = run(capsys, ["lattice", "U + Q5"])
     assert code == 2
+
+
+M1000 = "9" * 1000  # an integer at the lexer's cap, 3,322 bits
+
+
+@pytest.mark.parametrize("expr", [
+    f"U({M1000}) + U({M1000}) + U({M1000})",
+    f"E8({M1000})({M1000})({M1000})({M1000})({M1000})",
+    " + ".join([f"U({'9' * 700})"] * 4),
+], ids=["3xU(m)", "E8(m)^5", "4xU(700 digits)"])
+def test_lattice_det_over_cap_is_usage_error(capsys, expr):
+    # |det| would print past the interpreter's 4,300-digit limit: refused
+    # by its bound, with the cap and a position
+    code, out, err = run(capsys, ["lattice", expr])
+    assert (code, out) == (2, "")
+    assert f"the cap of {lattice.MAX_DET_BITS} bits at position" in err
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--text"])
+def test_lattice_det_under_cap_prints(capsys, fmt):
+    m = int(M1000)
+    for expr, det in ((f"U({M1000})", -m * m), (f"U({M1000}) + U({M1000})", m ** 4)):
+        code, out, err = run(capsys, [fmt, "lattice", expr])
+        assert (code, err) == (0, "")
+        assert str(det) in out
 
 
 @pytest.mark.parametrize("argv, read", [

@@ -31,7 +31,7 @@ from k3auto.polyfield import OMEGA, FieldContext, Place, Poly, RATIONALS, valuat
 
 Q = RATIONALS
 QW3 = FieldContext(d=-3)
-S_SPECIAL = QW3.element(0, Fraction(2, 9))
+S_SPECIAL = Poly.make(QW3, [(0, Fraction(2, 9))])
 
 
 def model(a_text: str, b_text: str, context=Q, **bindings) -> WeierstrassModel:
@@ -228,9 +228,7 @@ def test_fiber_analysis_reads_euler_numbers_from_valuations(monkeypatch):
 
 
 def reversed_to(p: Poly, degree: int) -> Poly:
-    padded = list(p.coefficients) + [p.context.zero()] * (
-        degree + 1 - len(p.coefficients)
-    )
+    padded = list(p.coefficients) + [0] * (degree + 1 - len(p.coefficients))
     return Poly.make(p.context, padded[::-1])
 
 

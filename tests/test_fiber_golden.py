@@ -18,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import load_workloads
+from helpers import load_perfbench
 from k3auto import ellsurf, parsing, polyfield
 
-workloads = load_workloads()
+workloads = load_perfbench("workloads")
 K3 = types.SimpleNamespace(polyfield=polyfield, ellsurf=ellsurf, parsing=parsing)
 POOL = workloads.fiber_pool()
 GOLDEN = workloads.load_golden("fibers.json")

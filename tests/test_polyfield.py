@@ -12,7 +12,7 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -20,8 +20,8 @@ import sympy
 from helpers import (
     CONTEXTS,
     QI,
-    load_workloads,
-    random_element,
+    load_perfbench,
+    random_coefficient,
     random_nonzero_poly,
     sympy_domain,
     sympy_poly,
@@ -67,40 +67,35 @@ def to_sympy(p: Poly):
 
 
 def test_rational_field_arithmetic():
-    a = Q.element(Fraction(2, 3))
-    b = Q.element(Fraction(-1, 6))
-    assert (a + b).x == Fraction(1, 2)
-    assert (a * b).x == Fraction(-1, 9)
-    assert (a / b).x == -4
+    # constants are polynomials of degree 0
+    a = Poly.constant(Q, Fraction(2, 3))
+    b = Poly.constant(Q, Fraction(-1, 6))
+    assert (a + b).coefficient(0).x == Fraction(1, 2)
+    assert (a * b).coefficient(0).x == Fraction(-1, 9)
+    assert (a // b).coefficient(0).x == -4
     assert (a - a).is_zero
 
 
 def test_quadratic_field_arithmetic():
-    w = QW3.generator()
-    assert (w * w).x == -3
-    s = QW3.element(0, Fraction(2, 9))
+    w = parse_poly("w", QW3)
+    assert (w * w).coefficient(0).x == -3
+    s = Poly.make(QW3, [(0, Fraction(2, 9))])
     # the constant with s^2 = -4/27
-    assert (s * s).x == Fraction(-4, 27)
-    assert (s * s).y == 0
-    e = QW3.element(Fraction(1, 2), Fraction(-3, 7))
-    assert (e * e.inverse()) == QW3.one()
-    assert e.norm() == Fraction(1, 4) - (-3) * Fraction(9, 49)
-
-
-def test_norm_is_multiplicative():
-    a = QW3.element(2, Fraction(1, 3))
-    b = QW3.element(Fraction(-5, 2), 4)
-    assert (a * b).norm() == a.norm() * b.norm()
+    assert (s * s).coefficient(0).x == Fraction(-4, 27)
+    assert (s * s).coefficient(0).y == 0
+    e = Poly.make(QW3, [(Fraction(1, 2), Fraction(-3, 7))])
+    one = Poly.constant(QW3, 1)
+    assert e * (one // e) == one
 
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        QW3.zero().inverse()
+        Poly.constant(QW3, 1) // Poly.zero(QW3)
 
 
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
-        Q.one() + QW3.one()
+        Poly.constant(Q, 1) + Poly.constant(QW3, 1)
     with pytest.raises(ContextMismatchError):
         Poly.variable(Q) * Poly.variable(QW3)
 
@@ -111,7 +106,7 @@ def test_context_validation():
     with pytest.raises(ValueError):
         FieldContext(d=12)  # not squarefree
     with pytest.raises(ValueError):
-        Q.element(1, 1)  # no generator over Q
+        Poly.make(Q, [(1, 1)])  # no generator over Q
 
 
 def test_poly_divmod_identity():
@@ -236,7 +231,7 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
         for bits in (64, 400):
             def big():
                 return rng.getrandbits(bits) - 2 ** (bits - 1)
-            common = Poly.make(context, [context.element(big(), big()) for _ in range(3)])
+            common = Poly.make(context, [(big(), big()) for _ in range(3)])
             p, q = cofactor() * common, cofactor() * common
             images.clear()
             g = poly_gcd(p, q)
@@ -424,7 +419,7 @@ def test_squarefree_decompose_squared_factor():
     # 27*(t^11 - 1)^2 -> content 27, single factor with multiplicity 2
     p = parse_poly("27*(t^11 - 1)^2", Q)
     content, factors = squarefree_decompose(p)
-    assert content == Q.element(27)
+    assert content == Poly.constant(Q, 27)
     assert factors == [(parse_poly("t^11 - 1", Q), 2)]
     sym = sympy.sqf_list(to_sympy(p))
     assert sym[0] == 27 and len(sym[1]) == 1 and sym[1][0][1] == 2
@@ -433,12 +428,12 @@ def test_squarefree_decompose_squared_factor():
 def test_squarefree_decompose_mixed_multiplicities():
     p = parse_poly("(t - 1)^2 * (t^2 + 1)^3 * 5", Q)
     content, factors = squarefree_decompose(p)
-    assert content == Q.element(5)
+    assert content == Poly.constant(Q, 5)
     assert factors == [
         (parse_poly("t - 1", Q), 2),
         (parse_poly("t^2 + 1", Q), 3),
     ]
-    product = Poly.constant(Q, content)
+    product = content
     for f, m in factors:
         product = product * f ** m
     assert product == p
@@ -462,7 +457,7 @@ def test_gcdfree_basis_splits_shared_factors():
             assert poly_gcd(b, c).is_constant
     # inputs reassemble from leading coefficient and basis powers
     for poly, row in zip([p, q], exps):
-        acc = Poly.constant(Q, poly.leading_coefficient())
+        acc = poly.leading_coefficient()
         for b, e in zip(basis, row):
             acc = acc * b ** e
         assert acc == poly
@@ -478,7 +473,7 @@ def test_gcdfree_basis_keeps_unrelated_factors_whole():
 
 
 def test_gcdfree_basis_special_member():
-    s = QW3.element(0, Fraction(2, 9))
+    s = Poly.make(QW3, [(0, Fraction(2, 9))])
     b = parse_poly("t^11 - s", QW3, bindings={"s": s})
     delta = parse_poly("27 * t^11 * (t^11 - 2*s)", QW3, bindings={"s": s})
     basis, _ = gcdfree_basis([b, delta])
@@ -555,15 +550,15 @@ def test_poly_gcd_contract_errors():
 def test_parse_poly_basics():
     p = parse_poly("t^11 - 1", Q)
     assert p.degree == 11
-    assert p.coefficient(0) == Q.element(-1)
-    assert p.coefficient(11) == Q.one()
+    assert p.coefficient(0) == (-1, 0)
+    assert p.coefficient(11) == (1, 0)
     q = parse_poly("4 + 27*(t - s)^2", Q, bindings={"s": 1})
     assert q == parse_poly("27*t^2 - 54*t + 31", Q)
 
 
 def test_parse_poly_quadratic_generator():
     b = parse_poly("t^11 - (2/9)*w", QW3)
-    assert b.coefficient(0) == QW3.element(0, Fraction(-2, 9))
+    assert b.coefficient(0) == (0, Fraction(-2, 9))
     with pytest.raises(ParseError):
         parse_poly("w + t", Q)
 
@@ -575,6 +570,10 @@ def test_parse_poly_error_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("t^2 +", Q)
     assert err.value.position == 5
+    # a bound constant must share the parser's context
+    with pytest.raises(ParseError) as err:
+        parse_poly("t + s", Q, bindings={"s": Poly.make(QW3, [(0, 1)])})
+    assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_poly("(t + 1", Q)
     with pytest.raises(ParseError):
@@ -668,7 +667,7 @@ def _fibers_batch_texts():
     k3 = types.SimpleNamespace(polyfield=polyfield,
                                parsing=types.SimpleNamespace(parse_poly=record),
                                ellsurf=types.SimpleNamespace(WeierstrassModel=stop))
-    for op in load_workloads().fibers_batch(k3, 1).ops:
+    for op in load_perfbench("workloads").fibers_batch(k3, 1).ops:
         with pytest.raises(Parsed):
             op.run()
     return texts
@@ -704,7 +703,7 @@ def test_poly_str_reparses():
 
 def test_fiber_op_builds_no_field_element(monkeypatch):
     # parsing, the model, the analysis and its report read and write the
-    # integer vectors: no coefficient becomes a FieldElement on the way
+    # integer vectors: no coefficient is read out as Fractions on the way
     texts = _fibers_batch_texts()
     pairs = list(zip(texts[::2], texts[1::2]))
     assert len(pairs) == 48 and all(ca == cb for (_, ca), (_, cb) in pairs)
@@ -716,13 +715,29 @@ def test_fiber_op_builds_no_field_element(monkeypatch):
     expected = reports()
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("FieldElement built on a fiber op")
+        raise AssertionError("coefficient read out on a fiber op")
 
     monkeypatch.setattr(Poly, "coefficient", refuse)
-    monkeypatch.setattr(polyfield.FieldElement, "__init__", refuse)
+    monkeypatch.setattr(polyfield, "Coefficient", refuse)
     with pytest.raises(AssertionError):
-        QW3.element(1)
+        Poly.variable(QW3).coefficients
     assert reports() == expected
+
+
+def test_tracer_reads_coefficient_bits_of_a_product():
+    # the benchmark's polyfield.max_coeff_bits reads Poly.coefficients as
+    # x and y Fractions: a view without them would crash every traced run,
+    # and one that yields nothing would read 0
+    context = FieldContext(d=5)
+    p = parse_poly("(3/7 + 2*w)*t^2 + 123456789012*t - 1/4*w", context)
+    product = p * parse_poly("t + 5/3*w", context)
+    tracer = load_perfbench("tracing").Tracer()
+    tracer._after_poly_result((), product)
+    den = product.den
+    expected = max(max((v // gcd(v, den)).bit_length(), (den // gcd(v, den)).bit_length())
+                   for v in product.xs + product.ys)
+    assert product.ys and expected == 40
+    assert tracer.max_coeff_bits == expected
 
 
 def _fraction_pair_key(p: Poly):
@@ -742,7 +757,7 @@ def _fraction_scalar_text(x: Fraction, y: Fraction) -> str:
 
 
 def _fraction_text(p: Poly) -> str:
-    """str(p) as it was rendered from FieldElement coefficients."""
+    """str(p) as it was rendered from Fraction coefficients."""
     parts = []
     for k in range(p.degree, -1, -1):
         c = p.coefficient(k)
@@ -787,11 +802,11 @@ def test_place_order_and_text_match_fraction_oracles():
             coeffs = []
             for _ in range(rng.randint(0, 5)):
                 if rng.random() < 0.4:
-                    coeffs.append(context.element(*rng.choice(special)))
+                    coeffs.append(rng.choice(special))
                 elif rng.random() < 0.2:
-                    coeffs.append(context.zero())
+                    coeffs.append(0)
                 else:
-                    coeffs.append(random_element(rng, context))
+                    coeffs.append(random_coefficient(rng, context))
             p = Poly.make(context, coeffs)
             for q in (p, -p, *basis):
                 assert str(q) == _fraction_text(q), (str(q), _fraction_text(q))
@@ -799,11 +814,12 @@ def test_place_order_and_text_match_fraction_oracles():
                 seen.add("zero" if q.is_zero else "constant" if q.is_constant
                          else "negative lead" if q.xs[-1] < 0 else "positive lead")
                 for c in q.coefficients:
-                    assert str(c) == _fraction_scalar_text(c.x, c.y)
+                    text = str(Poly.make(context, [c]))
+                    assert text == _fraction_scalar_text(c.x, c.y)
                     if c.y:
                         seen.add("x and y" if c.x else "y only")
-                    if str(c) in ("1", "-1", "w", "-w"):
-                        seen.add(str(c))
+                    if text in ("1", "-1", "w", "-w"):
+                        seen.add(text)
         assert {"zero", "constant", "negative lead", "positive lead", "1", "-1"} <= seen
         if context.is_quadratic:
             assert {"w", "-w", "x and y", "y only"} <= seen

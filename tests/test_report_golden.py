@@ -13,10 +13,10 @@ import types
 
 import pytest
 
-from helpers import PERFBENCH, load_workloads
+from helpers import PERFBENCH, load_perfbench
 from k3auto import cli, enumerations, isometry
 
-workloads = load_workloads()
+workloads = load_perfbench("workloads")
 K3 = types.SimpleNamespace(enumerations=enumerations, isometry=isometry)
 CLI_GOLDEN = workloads.load_golden("cli.json")
 PAPER_GOLDEN = workloads.load_golden("paper.json")
