@@ -22,8 +22,8 @@ from .errors import (
     InvalidModelError,
     Record,
 )
-from .polyfield import (OMEGA, FieldContext, Place, Poly, _poly, _yun, gcdfree_basis, place_order,
-                        poly_gcd)
+from .polyfield import (OMEGA, FieldContext, Place, Poly, _gcd_cofactors, _poly, _yun, place_order,
+                        poly_sum)
 
 NON_MINIMAL = "NON_MINIMAL"
 
@@ -127,7 +127,7 @@ class WeierstrassModel(Record):
     def __post_init__(self):
         if self.a.context != self.b.context:
             raise ContextMismatchError("a and b over different contexts")
-        delta = 4 * self.a ** 3 + 27 * self.b ** 2
+        delta = poly_sum(self.a.context, ((4, self.a ** 3), (27, self.b ** 2)))
         if delta.is_zero:
             raise InvalidModelError("discriminant 4a^3 + 27b^2 vanishes identically")
         object.__setattr__(self, "delta", delta)
@@ -149,12 +149,7 @@ def discriminant(model: WeierstrassModel) -> Poly:
 
 def j_map(model: WeierstrassModel) -> tuple[Poly, Poly]:
     """J = 4a^3 / (4a^3 + 27b^2) in lowest terms, denominator monic."""
-    num = 4 * model.a ** 3
-    den = model.delta
-    if num.is_zero:
-        return Poly.zero(model.context), Poly.constant(model.context, 1)
-    g = poly_gcd(num, den)
-    num, den = num // g, den // g
+    _, num, den = _gcd_cofactors(4 * model.a ** 3, model.delta)
     return num // den.leading_coefficient(), den.monic()
 
 
@@ -234,50 +229,47 @@ def _classify(place: Place, v_a, v_b, v_delta: int) -> KodairaFiber:
 
 def _finite_places(a: Poly, b: Poly, delta: Poly) -> list[tuple]:
     """(generator, v_a, v_b, v_Delta) of each place on a, b or Delta, in
-    ``place_order``.  A place on two of them divides gcd(a, b), as Delta =
-    4a^3 + 27b^2 (Tate's first step): so for a = 0 or b = 0 the places are
-    b's or a's Yun factors, and for gcd(a, b) = 1 those of a, b and Delta,
-    each on one; else the gcd-free basis, which comes sorted."""
+    ``place_order``, from Yun factors: b's or a's for a = 0 or b = 0.  Else
+    a = g*a1 and b = g*b1 for g = gcd(a, b), and Delta = g^2*E with E =
+    4a*a1^2 + 27b1^2 (Tate's first step; E = Delta for g = 1).  A place off
+    g lies on exactly one of a1, b1 and E, with its Yun multiplicity there;
+    only g's Yun factors, rows (m, m, 2m), are split by those that meet them."""
     if a.is_zero:
-        places = [(f, OMEGA, m, 2 * m) for f, m in _yun(b)]
-    elif b.is_zero:
-        places = [(f, m, OMEGA, 3 * m) for f, m in _yun(a)]
-    elif poly_gcd(a, b).is_constant:
-        places = [(f, *(m if j == i else 0 for j in range(3)))
-                  for i, p in enumerate((a, b, delta)) if not p.is_constant for f, m in _yun(p)]
-    else:
-        basis, exponents = gcdfree_basis([a, b, delta])
-        return list(zip(basis, *exponents))
-    return place_order(places)
+        return place_order([(f, OMEGA, m, 2 * m) for f, m in _yun(b)])
+    if b.is_zero:
+        return place_order([(f, m, OMEGA, 3 * m) for f, m in _yun(a)])
+    g, a1, b1 = _gcd_cofactors(a, b)
+    e = delta if g.is_constant else poly_sum(a.context, ((4, a * a1 ** 2), (27, b1 ** 2)))
+    places, on_g = [], [] if g.is_constant else [(h, m, m, 2 * m) for h, m in _yun(g)]
+    for i, p in enumerate((a1, b1, e)):
+        for f, m in [] if p.is_constant else _yun(p):
+            split = []
+            for h, *row in on_g:
+                s, h, f = _gcd_cofactors(h, f)
+                split += [(s, *(v + m if j == i else v for j, v in enumerate(row))), (h, *row)]
+            on_g = [piece for piece in split if not piece[0].is_constant]
+            if not f.is_constant:
+                places.append((f, *(m if j == i else 0 for j in range(3))))
+    return place_order(places + on_g)
 
 
 def analyze_fibers(model: WeierstrassModel) -> FiberAnalysis:
     """Classify the fiber over every finite place (``_finite_places``, in
     ``place_order``) and over infinity, with exact Euler bookkeeping.
 
-    Finite valuations are Yun multiplicities or the gcd-free basis's rows
-    (OMEGA for a zero a or b); at infinity they are 4k - deg a, 6k - deg b
-    and 12k - deg Delta."""
+    Finite valuations are sums of Yun multiplicities (OMEGA for a zero a or
+    b); at infinity they are 4k - deg a, 6k - deg b and 12k - deg Delta."""
     k = model.k
     polys = (model.a, model.b, model.delta)
     places = _finite_places(*polys) if any(not p.is_constant for p in polys) else []
-    fibers = [_classify(Place(g), *v) for g, *v in places]
     at_infinity = [OMEGA if p.is_zero else w * k - p.degree for p, w in zip(polys, (4, 6, 12))]
-    fibers.append(_classify(Place(None), *at_infinity))
-
-    fibers_tuple = tuple(fibers)
-    minimal = all(f.minimalization_steps == 0 for f in fibers_tuple)
-    analysis = FiberAnalysis(
-        k=k,
-        fibers=fibers_tuple,
-        surface={1: "rational", 2: "K3"}.get(k, f"other(k={k})"),
-        relatively_minimal=minimal,
-        euler_total=sum(f.degree * f.euler for f in fibers_tuple),
-    )
+    fibers = (*(_classify(Place(g), *v) for g, *v in places), _classify(Place(None), *at_infinity))
+    minimal = all(f.minimalization_steps == 0 for f in fibers)
+    analysis = FiberAnalysis(k, fibers, {1: "rational", 2: "K3"}.get(k, f"other(k={k})"), minimal,
+                             sum(f.degree * f.euler for f in fibers))
     if minimal and analysis.euler_total != analysis.expected_euler:
         raise InconsistentValuationsError(
-            "internal error: Euler sum differs from 12k on a minimal model"
-        )
+            "internal error: Euler sum differs from 12k on a minimal model")
     return analysis
 
 

@@ -7,12 +7,12 @@ fiber places.  There is no scalar type: a constant is a polynomial of
 degree 0.  Fractions meet the vectors only at the API edge: ``Poly.make``
 takes ints, Fractions or (x, y) pairs, ``Poly.coefficient`` gives a
 read-only ``Coefficient`` pair.
-Squarefree structure comes from Yun decomposition and a gcd-free basis;
-there is no irreducible factorization, places of the affine line are
-monic squarefree generators.  ``poly_gcd`` is a modular gcd (Encarnacion,
-J. Symbolic Comput. 20, 1995) on word-size primes generated on demand, and
-its only algorithm: a trial division proves every answer, so no result
-depends on a prime.
+Squarefree structure comes from Yun decomposition; there is no irreducible
+factorization, places of the affine line are monic squarefree generators.
+``poly_gcd`` is a modular gcd (Encarnacion, J. Symbolic Comput. 20, 1995)
+on word-size primes generated on demand, and its only algorithm: a trial
+division proves every answer, so no result depends on a prime, and its
+quotients are the cofactors (``_gcd_cofactors``).
 """
 
 from __future__ import annotations
@@ -334,11 +334,11 @@ def _scalar_text(x: int, y: int, den: int) -> str:
 
 
 def poly_sum(context: FieldContext, terms: Sequence[tuple[int, Poly]]) -> Poly:
-    """The sum of sign*p over (sign, p), sign = +-1: each vector is added
-    in, scaled to the lcm of the denominators, and the sum normalised once."""
+    """The sum of n*p over (n, p), n an int: each vector is added in, times
+    n and scaled to the lcm of the denominators, and the sum normalised once."""
     den, xs, ys = lcm(*[p.den for _, p in terms]), [], []
-    for sign, p in terms:
-        s = sign * den // p.den
+    for n, p in terms:
+        s = n * den // p.den
         for acc, v in ((xs, p.xs), (ys, p.ys)):
             acc.extend(repeat(0, len(v) - len(acc)))
             for k, c in enumerate(v):
@@ -495,8 +495,8 @@ def _reconstruct(context: FieldContext, residues: list[int], modulus: int) -> Po
 
 
 def _modular_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of nonconstant p and q, deg p >= deg q, from their images
-    modulo ``modular_primes(d)``.
+    """(g, p/g, q/g) for the monic gcd g of nonconstant p and q, deg p >=
+    deg q, from their images modulo ``modular_primes(d)``.
 
     A prime l is usable when d is a nonzero square r^2 mod l, l divides no
     denominator and both leading coefficients survive w -> r.  Then the
@@ -511,7 +511,8 @@ def _modular_gcd(p: Poly, q: Poly) -> Poly:
     cost at most twice the last.  A candidate gcd counts only if it divides
     p and q (a cofactor: if it divides q and its quotient divides p); then
     deg candidate <= deg gcd <= deg image, and the monic candidate of the
-    image's degree is the gcd.
+    image's degree is the gcd.  The quotients of those trial divisions are
+    the cofactors returned, so no caller divides by g again.
     Unlucky primes are finitely many, and d is a square modulo infinitely
     many primes of its supply, so the supply reaches it."""
     d, degree = p.context.d, len(q.xs) + 1
@@ -523,7 +524,7 @@ def _modular_gcd(p: Poly, q: Poly) -> Poly:
                 break
             images.append((_gcd_mod(a, b, prime), b))
             if len(images[-1][0]) == 1:
-                return Poly.monomial(p.context, 0)
+                return Poly.monomial(p.context, 0), p, q
         sizes = {len(g) for g, _ in images}
         if not images or len(images) < len(roots) or len(sizes) > 1 or min(sizes) > degree:
             continue
@@ -543,34 +544,44 @@ def _modular_gcd(p: Poly, q: Poly) -> Poly:
             continue
         candidate = _reconstruct(p.context, residues, modulus)
         if candidate is not None and cofactor:
-            candidate, rest = divmod(q, candidate)
-            candidate = candidate.monic() if rest.is_zero else None
-        if candidate is not None and (p % candidate).is_zero and (
-                cofactor or (q % candidate).is_zero):
-            return candidate
+            g, rest = divmod(q, candidate)
+            q_g = candidate.scale(q.leading_coefficient())  # q/gcd, as candidate is monic
+            candidate = g.monic() if rest.is_zero else None
+        if candidate is not None:
+            p_g, rest = divmod(p, candidate)
+            if rest.is_zero and not cofactor:
+                q_g, rest = divmod(q, candidate)
+            if rest.is_zero:
+                return candidate, p_g, q_g
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) is monic p.  Two nonconstant inputs go to
-    ``_modular_gcd``, whose answer a trial division proves, so it never
-    depends on the primes."""
+    """Monic gcd, proved by a trial division; gcd(p, 0) is monic p."""
+    return _gcd_cofactors(p, q)[0]
+
+
+def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) for g = ``poly_gcd(p, q)``: the quotients are those of
+    the trial divisions that prove g, and coprime inputs give (1, p, q)."""
     if p.context != q.context:
         raise ContextMismatchError("mixed polynomial contexts")
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
     if p.is_zero or q.is_zero:
-        return (q if p.is_zero else p).monic()
+        return ((q if p.is_zero else p).monic(),
+                *(r if r.is_zero else r.leading_coefficient() for r in (p, q)))
     if p.is_constant or q.is_constant:
-        return Poly.monomial(p.context, 0)
-    return _modular_gcd(p, q) if p.degree >= q.degree else _modular_gcd(q, p)
+        return Poly.monomial(p.context, 0), p, q
+    if p.degree >= q.degree:
+        return _modular_gcd(p, q)
+    g, q_g, p_g = _modular_gcd(q, p)
+    return g, p_g, q_g
 
 
 def is_squarefree(p: Poly) -> bool:
     """No repeated roots; requires a nonzero polynomial."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefreeness of 0 is undefined")
-    if p.is_constant:
-        return True
     return poly_gcd(p, p.derivative()).is_constant
 
 
@@ -586,23 +597,19 @@ def squarefree_decompose(p: Poly) -> tuple[Poly, list[tuple[Poly, int]]]:
 
 
 def _yun(p: Poly) -> list[tuple[Poly, int]]:
-    """The (f_i, m_i) of ``squarefree_decompose`` for a nonconstant p."""
+    """The (f_i, m_i) of ``squarefree_decompose`` for a nonconstant p; each
+    step's c/f and d/f come with its gcd f (``_gcd_cofactors``)."""
     a = p.monic()
-    g = poly_gcd(a, a.derivative())
+    g, c, d = _gcd_cofactors(a, a.derivative())
     if g.is_constant:
         return [(a, 1)]
-    c = a // g
-    d = a.derivative() // g - c.derivative()
     factors: list[tuple[Poly, int]] = []
-    i = 1
-    while not c.is_constant:
-        f = poly_gcd(c, d)
+    for i in count(1):
+        if c.is_constant:
+            return factors
+        f, c, d = _gcd_cofactors(c, d - c.derivative())
         if not f.is_constant:
             factors.append((f, i))
-            c, d = c // f, d // f
-        d = d - c.derivative()
-        i += 1
-    return factors
 
 
 def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
@@ -615,7 +622,8 @@ def gcdfree_basis(polys: Sequence[Poly]) -> tuple[list[Poly], list[list[int]]]:
     when a Yun factor f of multiplicity m of input i meets a generator b,
     g = gcd(f, b) gets b's row plus m in column i, the cofactor b/g keeps
     b's row, and what is left of f becomes a new one with m in column i.
-    """
+    No command reaches it (fiber places come from Yun factors); it stays as
+    the tests' oracle and for perfbench's tracer, which binds it by name."""
     if not polys:
         raise ZeroPolynomialError("empty input list")
     context = polys[0].context
@@ -667,7 +675,7 @@ class Place(NamedTuple):
     generator, or the place at infinity (generator None); the generator's
     degree counts geometric points.  Unchecked: ``valuation`` checks a
     place a caller passes in, the fiber analysis takes its places from
-    Yun factors or ``gcdfree_basis``, squarefree by construction."""
+    Yun factors, squarefree by construction."""
 
     generator: Poly | None
 

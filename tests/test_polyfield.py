@@ -6,6 +6,7 @@ against sympy as an independent implementation before being asserted.
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -248,23 +249,86 @@ LADDER_B = ("(123456789012345678901234567890123456789/97*t^6"
             " + 55555555555555555555555555/7*t + 1234567890123456789*w)")
 
 
+def _ladder(context):
+    """B^4 * (t^2 + 1) and its derivative, whose gcd B^3 has a cofactor in
+    the derivative that is the smaller lift; over Q, B without its w parts."""
+    b = LADDER_B if context.is_quadratic else LADDER_B.replace("*w", "")
+    p = parse_poly(f"{b}^4 * (t^2 + 1)", context)
+    return p, p.derivative()
+
+
 @pytest.mark.parametrize("d", [5, -3, -1])
 def test_poly_gcd_lifts_the_cofactor_of_a_large_shared_factor(monkeypatch, d):
     # p = B^4 * (t^2 + 1) and p' share B^3, of degree 18 with coefficients
     # of hundreds of bits; the image gcd has more than half the degree of
     # p', so the cofactor p'/B^3, of degree 7, is lifted instead
     context = FieldContext(d=d)
-    p = parse_poly(f"{LADDER_B}^4 * (t^2 + 1)", context)
+    p, q = _ladder(context)
     cofactors = []
     cofactor_mod = polyfield._cofactor_mod
     monkeypatch.setattr(polyfield, "_cofactor_mod",
                         lambda *args: cofactors.append(cofactor_mod(*args)) or cofactors[-1])
-    g = poly_gcd(p, p.derivative())
-    assert g == parse_poly(f"{LADDER_B}^3", context).monic() == _euclid(p, p.derivative())
+    g = poly_gcd(p, q)
+    assert g == parse_poly(f"{LADDER_B}^3", context).monic() == _euclid(p, q)
     assert cofactors and {len(c) - 1 for c in cofactors} == {7}
     domain = sympy_domain(context)
-    expected = sympy_poly(p, domain).gcd(sympy_poly(p.derivative(), domain)).monic()
+    expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
     assert sympy_poly(g, domain) == expected
+
+
+@pytest.mark.parametrize("context", [Q, QW3, FieldContext(d=5), QI], ids=str)
+def test_gcd_cofactors_are_the_quotients_that_prove_the_gcd(monkeypatch, context):
+    # (g, p/g, q/g): g the monic gcd and each quotient exact; coprime inputs
+    # come back as (1, p, q).  The ladder pair lifts q's cofactor, the random
+    # pairs with a cubic common factor the gcd, the rest are coprime or trivial
+    lifts = []
+    cofactor_mod = polyfield._cofactor_mod
+    monkeypatch.setattr(polyfield, "_cofactor_mod",
+                        lambda *args: lifts.append(args) or cofactor_mod(*args))
+    rng = random.Random(1971)
+    ladder = _ladder(context)
+    pairs = [ladder, ladder[::-1]]
+    for i in range(16):
+        p, q = (random_nonzero_poly(rng, context) for _ in range(2))
+        if i % 2:
+            common = random_nonzero_poly(rng, context, max_degree=3)
+            p, q = p * common, q * common
+        pairs.append((p, q))
+    zero, three = Poly.zero(context), Poly.constant(context, 3)
+    pairs += [(p, zero), (zero, q), (three, q), (p, three)]
+    coprime = 0
+    for p, q in pairs:
+        g, p_g, q_g = polyfield._gcd_cofactors(p, q)
+        assert g == g.monic() == _euclid(p, q), (p, q)
+        assert g * p_g == p and g * q_g == q, (p, q)
+        if g.is_constant:
+            coprime += 1
+            assert (p_g, q_g) == (p, q), (p, q)
+    assert lifts and coprime >= 4
+
+
+def test_yun_divides_each_pair_once(monkeypatch):
+    # each step's c/f and d/f are the quotients of the trial divisions that
+    # prove its gcd f, so within one Yun decomposition no dividend is divided
+    # by the same divisor twice
+    pairs = []
+    divide = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda p, q: pairs.append((p, q)) or divide(p, q))
+    rng, divisions = random.Random(1995), 0
+    for context in (Q, QW3, FieldContext(d=5), QI):
+        inputs = [_ladder(context)[0]]
+        for _ in range(6):
+            f1, f2, f3 = (random_nonzero_poly(rng, context, max_degree=3) for _ in range(3))
+            inputs.append(f1 * f2 ** 2 * f3 ** rng.randint(3, 4))
+        for p in inputs:
+            if p.is_constant:
+                continue
+            pairs.clear()
+            factors = polyfield._yun(p)
+            assert len(pairs) == len(set(pairs)), (p, len(pairs) - len(set(pairs)))
+            assert p.monic() == math.prod((f ** m for f, m in factors), start=Poly.constant(context, 1))
+            divisions += len(pairs)
+    assert divisions >= 100
 
 
 @pytest.mark.parametrize("d, primes", [(None, (103, 107, 127)), (-3, (103, 107, 127)),

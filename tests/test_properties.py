@@ -279,48 +279,63 @@ def _basis_places(m):
 
 
 def _sharing_model(rng, context):
-    """a and b sharing g = h1^i * h2^j of degree 1-3, h1 and h2 random of
-    degree 1 (h2 of degree 1 or 2), with further factors of several
-    multiplicities on each side."""
+    """a and b sharing powers of h1 and h2, random of degree 1 and of degree
+    1 or 2.  Half of the models have further factors of several
+    multiplicities on each side; the other half are a = G^2 * h1^r * f1 and
+    b = G^3 * h2^s * f2 for G = h1^i * h2^j, i != j, so that g = gcd(a, b)
+    has factors of two multiplicities, b/g meets g at h2, and a/g meets it
+    at h1 when r > i."""
     while True:
         h1, h2 = (random_nonzero_poly(rng, context, max_degree=k, span=4) for k in (1, 2))
         if h1.degree != 1 or h2.is_constant:
             continue
         f1, f2 = (random_nonzero_poly(rng, context, max_degree=2, span=4) for _ in range(2))
-        a = h1 ** rng.randint(1, 4) * h2 ** rng.randint(0, 2) * f1 ** rng.randint(0, 2)
-        b = h1 ** rng.randint(1, 3) * h2 ** rng.randint(1, 2) * f2 ** rng.randint(0, 3)
-        g = poly_gcd(a, b)
-        if 1 <= g.degree <= 3:
-            try:
-                return WeierstrassModel(a, b)
-            except InvalidModelError:
-                continue
+        if rng.random() < 0.5:
+            a = h1 ** rng.randint(1, 4) * h2 ** rng.randint(0, 2) * f1 ** rng.randint(0, 2)
+            b = h1 ** rng.randint(1, 3) * h2 ** rng.randint(1, 2) * f2 ** rng.randint(0, 3)
+        else:
+            i, j = rng.sample((1, 2), 2)
+            shared = h1 ** i * h2 ** j
+            a = shared ** 2 * h1 ** rng.randint(0, 2) * f1
+            b = shared ** 3 * h2 ** rng.randint(0, 1) * f2
+        try:
+            return WeierstrassModel(a, b)
+        except InvalidModelError:
+            continue
 
 
 def test_fiber_place_branches_match_the_general_basis(monkeypatch):
     # Delta = 4a^3 + 27b^2 puts every place shared by two of {a, b, Delta}
-    # on gcd(a, b), so the fiber analysis reads the places off Yun factors
-    # unless gcd(a, b) is nonconstant; each branch must give the general
-    # basis's places, rows and order
+    # on g = gcd(a, b), and Delta = g^2 * E with E = 4g(a/g)^3 + 27(b/g)^2,
+    # so the fiber analysis reads the places off Yun factors and splits only
+    # g's; each branch must give the general basis's places, rows and order
+    # without building that basis
     basis_calls = []
-    monkeypatch.setattr(ellsurf, "gcdfree_basis",
-                        lambda polys: basis_calls.append(polys) or polyfield.gcdfree_basis(polys))
+    basis = polyfield.gcdfree_basis
+    monkeypatch.setattr(polyfield, "gcdfree_basis",
+                        lambda polys: basis_calls.append(polys) or basis(polys))
     rng = random.Random(1971)
-    seen = set()
+    seen, meets = set(), set()
     for context in (*CONTEXTS, QI):
         for i in range(16):
             m = (_sharing_model if i % 2 else random_model)(rng, context)
             for variant in with_zero_coefficient_variants(m):
                 a, b = variant.a, variant.b
+                g = None if a.is_zero or b.is_zero else poly_gcd(a, b)
                 branch = ("a = 0" if a.is_zero else "b = 0" if b.is_zero
-                          else "coprime" if poly_gcd(a, b).is_constant else "general")
+                          else "g = 1" if g.is_constant else "g nonconstant")
                 seen.add(branch)
+                if branch == "g nonconstant":
+                    for name, p in (("a/g", a // g), ("b/g", b // g)):
+                        if not poly_gcd(p, g).is_constant:
+                            meets.add((name, context))
                 basis_calls.clear()
                 finite = analyze_fibers(variant).fibers[:-1]
+                assert basis_calls == [], branch
                 assert [(f.place.generator, f.v_a, f.v_b, f.v_delta) for f in finite] == \
                     _basis_places(variant), (variant, branch)
-                assert len(basis_calls) == (branch == "general"), branch
-    assert seen == {"a = 0", "b = 0", "coprime", "general"}
+    assert seen == {"a = 0", "b = 0", "g = 1", "g nonconstant"}
+    assert meets == {(name, context) for name in ("a/g", "b/g") for context in (*CONTEXTS, QI)}
 
 
 def test_rescaling_leaves_analysis_unchanged():
