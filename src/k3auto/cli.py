@@ -35,7 +35,7 @@ from .lattice import (
     discriminant_group,
     is_p_elementary,
 )
-from .parsing import parse_pattern, parse_poly
+from .parsing import MAX_LITERAL_DIGITS, parse_pattern, parse_poly
 from .polyfield import FieldContext, RATIONALS
 from .verify import run_scenarios
 
@@ -232,9 +232,15 @@ _SCENARIO_KINDS: dict[str, Callable[[dict, str], dict | str]] = {
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args)
+
+    def bounded_int(digits: str) -> int:  # else int() fails on the interpreter's digit limit
+        if len(digits.lstrip("-")) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"{args.config}: integer longer than {MAX_LITERAL_DIGITS} digits")
+        return int(digits)
+
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = json.load(handle, parse_int=bounded_int)
     except OSError as exc:
         raise ValueError(f"cannot read {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -22,12 +22,14 @@ from .errors import (
     InvalidModelError,
     Record,
 )
+from .parsing import MAX_LITERAL_DIGITS
 from .polyfield import (OMEGA, FieldContext, Place, Poly, _gcd_cofactors, _poly, _yun, place_order,
                         poly_sum)
 
 NON_MINIMAL = "NON_MINIMAL"
 
-_IN_RE = re.compile(r"I(0|[1-9][0-9]*)(\*?)")  # one spelling per type: fullmatch it
+# one spelling per type, fullmatch it; an index longer than a literal is no type
+_IN_RE = re.compile(rf"I(0|[1-9][0-9]{{0,{MAX_LITERAL_DIGITS - 1}}})(\*?)")
 _FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 

@@ -27,7 +27,7 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .errors import LatticeError, LatticeExprError, ParseError, Record
-from .parsing import Lexer
+from .parsing import MAX_LITERAL_DIGITS, Lexer
 
 # Rank cap of a lattice expression, checked before any Gram matrix is built.
 MAX_LATTICE_RANK = 256
@@ -197,6 +197,8 @@ class _LatticeExprParser:
         suffix = name[1:]
         if root is None or suffix and not suffix.isdigit():
             raise LatticeExprError(f"expected a lattice name at position {pos}")
+        if len(suffix) > MAX_LITERAL_DIGITS:
+            raise LatticeExprError(f"index over {MAX_LITERAL_DIGITS} digits at position {pos}")
         if suffix:
             index = int(suffix)
         elif self.lx.peek()[0] == "(":

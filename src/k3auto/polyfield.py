@@ -141,10 +141,6 @@ class Poly(Record):
         return cls(context, (0,) * k + (1,))
 
     @classmethod
-    def variable(cls, context: FieldContext) -> "Poly":
-        return cls.monomial(context, 1)
-
-    @classmethod
     def zero(cls, context: FieldContext) -> "Poly":
         return cls(context, ())
 
@@ -276,9 +272,6 @@ class Poly(Record):
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     def _inverse_lc(self) -> "Poly":
         """1/lc = den*(x - y*w)/(x^2 - d*y^2) for lc = (x + y*w)/den."""
         x, y = self.xs[-1], self.ys[-1] if self.ys else 0
@@ -295,10 +288,6 @@ class Poly(Record):
     def derivative(self) -> "Poly":
         return _poly(self.context, [i * x for i, x in enumerate(self.xs)][1:],
                      [i * y for i, y in enumerate(self.ys)][1:], self.den)
-
-    def evaluate(self, value) -> "Poly":
-        """The constant self(value), for an int, a Fraction or a constant Poly."""
-        return self % (Poly.variable(self.context) - value)
 
     def __str__(self) -> str:
         """Terms from the top, each coefficient as ``_scalar_text`` writes

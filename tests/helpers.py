@@ -102,6 +102,15 @@ def congruent_gram(u, gram):
     )
 
 
+def evaluate(p, value):
+    """The constant p(value), for an int, a Fraction or a constant Poly."""
+    return p % (Poly.monomial(p.context, 1) - value)
+
+
+def divides(g, p):
+    return (p % g).is_zero
+
+
 def reversed_to(p, degree):
     """Coefficient reversal of p inside the window [0, degree]."""
     padded = [p.coefficient(i) for i in range(degree + 1)]

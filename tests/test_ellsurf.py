@@ -247,7 +247,7 @@ def test_flip_matches_infinity_fiber():
         # discriminants flip along with the model
         assert discriminant(flipped) == reversed_to(discriminant(m), 12 * m.k)
         # the infinity fiber is the flipped model's fiber at the origin
-        origin = Place(Poly.variable(m.context))
+        origin = Place(Poly.monomial(m.context, 1))
         triple = minimalize_at_place(
             valuation(flipped.a, origin),
             valuation(flipped.b, origin),

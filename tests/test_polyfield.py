@@ -21,6 +21,7 @@ import sympy
 from helpers import (
     CONTEXTS,
     QI,
+    divides,
     load_perfbench,
     random_coefficient,
     random_nonzero_poly,
@@ -98,7 +99,7 @@ def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatchError):
         Poly.constant(Q, 1) + Poly.constant(QW3, 1)
     with pytest.raises(ContextMismatchError):
-        Poly.variable(Q) * Poly.variable(QW3)
+        Poly.monomial(Q, 1) * Poly.monomial(QW3, 1)
 
 
 def test_context_validation():
@@ -237,7 +238,7 @@ def test_poly_gcd_matches_euclid_and_sympy_on_seeded_pairs(monkeypatch):
             images.clear()
             g = poly_gcd(p, q)
             assert g == _euclid(p, q), (p, q)
-            assert common.monic().divides(g) and g.ys
+            assert divides(common.monic(), g) and g.ys
             expected = sympy_poly(p, domain).gcd(sympy_poly(q, domain)).monic()
             assert sympy_poly(g, domain) == expected, (p, q)
             used.append(len({prime for prime, _ in images}))
@@ -586,7 +587,7 @@ def test_valuation_of_zero_is_omega():
 
 def test_valuation_rejects_infinity():
     with pytest.raises(InvalidPlaceError):
-        valuation(Poly.variable(Q), Place(None))
+        valuation(Poly.monomial(Q, 1), Place(None))
 
 
 def test_place_validation():
@@ -671,7 +672,7 @@ def test_parse_poly_sum_contract():
         assert str(err.value) == f"{message} (at position {position})", text
     assert parse_poly("1 - -t", Q) == parse_poly("t + 1", Q)
     assert str(parse_poly("1 - -t", Q)) == "t + 1"
-    assert parse_poly("--t", Q) == Poly.variable(Q)
+    assert parse_poly("--t", Q) == Poly.monomial(Q, 1)
     assert str(parse_poly("--t", Q)) == "t"
 
 
@@ -784,7 +785,7 @@ def test_fiber_op_builds_no_field_element(monkeypatch):
     monkeypatch.setattr(Poly, "coefficient", refuse)
     monkeypatch.setattr(polyfield, "Coefficient", refuse)
     with pytest.raises(AssertionError):
-        Poly.variable(QW3).coefficients
+        Poly.monomial(QW3, 1).coefficients
     assert reports() == expected
 
 
@@ -856,7 +857,7 @@ def test_place_order_and_text_match_fraction_oracles():
             # order: inputs sharing small random factors, so that the basis
             # has several monic generators of one degree
             fs = [random_nonzero_poly(rng, context, max_degree=2, span=5) for _ in range(4)]
-            fs = [f for f in fs if not f.is_constant] or [Poly.variable(context)]
+            fs = [f for f in fs if not f.is_constant] or [Poly.monomial(context, 1)]
             inputs = [fs[0] ** 2 * fs[-1], fs[-1] * fs[len(fs) // 2], fs[len(fs) // 2] ** 3]
             basis, _ = gcdfree_basis(inputs)
             assert basis == sorted(basis, key=_fraction_pair_key)
