@@ -27,14 +27,9 @@ from typing import Callable
 
 from .ellsurf import WeierstrassModel, analyze_fibers
 from .enumerations import fiber_orbit_configs, order22_replay
-from .errors import InvalidModelError, K3AutoError
+from .errors import InvalidModelError, K3AutoError, brief
 from .isometry import lefschetz_number
-from .lattice import (
-    build_lattice,
-    determinant_and_signature,
-    discriminant_group,
-    is_p_elementary,
-)
+from .lattice import build_lattice, determinant_and_signature, discriminant_group
 from .parsing import MAX_LITERAL_DIGITS, parse_pattern, parse_poly
 from .polyfield import FieldContext, RATIONALS
 from .verify import run_scenarios
@@ -66,9 +61,7 @@ def _resolve_format(args: argparse.Namespace) -> str:
     if env is None:
         return "json"
     if env not in ("json", "text"):
-        raise ValueError(
-            f"K3_REPORT_FORMAT must be 'json' or 'text', not {env!r}"
-        )
+        raise ValueError(f"K3_REPORT_FORMAT must be 'json' or 'text', not {brief(env)}")
     return env
 
 
@@ -76,11 +69,11 @@ def _parse_field(spec: str | None) -> FieldContext:
     if spec is None:
         return RATIONALS
     if not spec.startswith("w2="):
-        raise ValueError(f"--field must look like w2=<d>, not {spec!r}")
+        raise ValueError(f"--field must look like w2=<d>, not {brief(spec)}")
     try:
         d = int(spec[3:])
     except ValueError:
-        raise ValueError(f"--field needs an integer after w2=, not {spec!r}")
+        raise ValueError(f"--field needs an integer after w2=, not {brief(spec)}")
     return FieldContext(d=d)
 
 
@@ -90,7 +83,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     lat = build_lattice(args.expr)
     det, signature = determinant_and_signature(lat)
     disc = discriminant_group(lat)
-    eleven = is_p_elementary(lat, 11)
+    eleven = all(f == 11 for f in disc.invariant_factors)  # never disagrees with disc
     if fmt == "json":
         _emit({
             "expression": args.expr,
@@ -156,24 +149,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # Config fields are checked before use; a bad one is a usage error naming
 # the field.  A missing required key raises KeyError ("missing key").
+def _bad_field(key: str, want: str, value) -> ValueError:
+    return ValueError(f"config field {key!r} must be {want}, got {brief(repr(value), str)}")
+
+
 def _positive_int(config: dict, key: str, default: int | None = None) -> int:
     value = config[key] if default is None else config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+        raise _bad_field(key, "an integer >= 1", value)
     return value
 
 
 def _string(config: dict, key: str) -> str:
     value = config[key]
     if not isinstance(value, str):
-        raise ValueError(f"config field {key!r} must be a string, got {value!r}")
+        raise _bad_field(key, "a string", value)
     return value
 
 
 def _string_list(config: dict, key: str) -> list[str]:
     value = config[key]
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ValueError(f"config field {key!r} must be a list of strings, got {value!r}")
+        raise _bad_field(key, "a list of strings", value)
     return value
 
 
@@ -251,7 +248,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     runner = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         known = ", ".join(sorted(_SCENARIO_KINDS))
-        raise ValueError(f"unknown scenario kind {kind!r}; known: {known}")
+        raise ValueError(f"unknown scenario kind {brief(repr(kind), str)}; known: {known}")
     try:
         rendition = runner(config, fmt)
     except KeyError as exc:

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentValuationsError,
     InvalidModelError,
     Record,
+    brief,
 )
 from .parsing import MAX_LITERAL_DIGITS
 from .polyfield import (OMEGA, FieldContext, Place, Poly, _gcd_cofactors, _poly, _yun, place_order,
@@ -45,7 +46,7 @@ def fiber_euler_number(symbol: str) -> int:
         return _FIXED_EULER[symbol]
     m = _IN_RE.fullmatch(symbol)
     if not m:
-        raise ValueError(f"unknown fiber type {symbol!r}")
+        raise ValueError(f"unknown fiber type {brief(symbol)}")
     n = int(m.group(1))
     return n + 6 if m.group(2) else n
 
@@ -297,13 +298,6 @@ class FiberConfiguration(Record):
                 )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "euler_total", total)
-
-    def __str__(self) -> str:
-        parts = []
-        for mult, symbol, count in self.entries:
-            tag = f"{mult}x{symbol}" if mult > 1 else symbol
-            parts.append(tag if count == 1 else f"{count}*{tag}")
-        return " + ".join(parts)
 
 
 class EulerCheck(NamedTuple):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .ellsurf import fiber_euler_number
+from .errors import brief
 from .isometry import (
     CyclotomicMultiset,
     IsometryPattern,
@@ -56,16 +57,6 @@ class RankDetCase(NamedTuple):
     feasible: bool
     reason: str
     label: str | None
-
-    def as_record(self) -> dict:
-        return {
-            "rank": self.rank_m,
-            "det": self.det_m,
-            "s": self.s,
-            "feasible": self.feasible,
-            "reason": self.reason,
-            "label": self.label,
-        }
 
 
 def _rank2_even_det_possible(det: int) -> bool:
@@ -446,6 +437,6 @@ def order22_replay(scenario: str) -> EliminationReport:
         runner = _SCENARIOS[scenario]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {scenario!r}; known: {', '.join(sorted(_SCENARIOS))}"
+            f"unknown scenario {brief(scenario)}; known: {', '.join(sorted(_SCENARIOS))}"
         ) from None
     return runner()

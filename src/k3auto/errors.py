@@ -3,6 +3,14 @@
 from operator import attrgetter
 
 
+def brief(token: str, show=repr, limit: int = 40) -> str:
+    """How an error message names a bad input: ``show(token)``, or for a
+    longer token ``show`` of its first `limit` characters and its length."""
+    if len(token) <= limit:
+        return show(token)
+    return f"{show(token[:limit])}... ({len(token)} characters)"
+
+
 class K3AutoError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -12,11 +12,12 @@ negative-definite A/D/E root lattices (diagonal -2, adjacency +1).
 
 INT may carry a leading '-' with no space after it; rank is capped at
 `MAX_LATTICE_RANK`, and a bound on the bits of |det| at `MAX_DET_BITS`.
-Invariants are exact per orthogonal component: det and signature by a Bareiss
-elimination that touches only the rows it eliminates, discriminant groups by
-Smith form mod gcd(|det|, M_{n-1}), the pivot before the last, or by none
-where that gcd is 1 (a cyclic group) or, in `is_p_elementary`, where |det| is
-not a power of p.
+Invariants are exact, all read off one pass (`_eliminate`): each orthogonal
+component's det, signature and M_{n-1}, the pivot before the last, by a Bareiss
+elimination that touches only the rows it eliminates.  A discriminant group is
+a Smith form mod gcd(|det|, M_{n-1}), or none where that gcd is 1 (cyclic) or,
+in `is_p_elementary`, where |det| is not a power of p; `k3auto lattice` reads
+11-elementarity off the group it prints.
 """
 
 from __future__ import annotations
@@ -266,24 +267,26 @@ def _components(gram: Gram) -> list[list[int]]:
     return components
 
 
-def _block(gram: Gram, comp: list[int]) -> list[list[int]]:
-    """The sub-matrix of `gram` on the sorted indices `comp`."""
-    if len(comp) == 1:  # itemgetter of one index returns the entry itself
-        return [[gram[comp[0]][comp[0]]]]
-    pick = operator.itemgetter(*comp)
-    return [list(pick(gram[r])) for r in comp]
+def _eliminate(gram: Gram) -> list[tuple]:
+    """(block, det, M_{n-1}, signature) of each orthogonal component, by
+    `_bareiss`: the one place a Gram matrix is split up and eliminated."""
+    parts = []
+    for comp in _components(gram):
+        if len(comp) == 1:  # itemgetter of one index returns the entry itself
+            block = [[gram[comp[0]][comp[0]]]]
+        else:
+            pick = operator.itemgetter(*comp)
+            block = [list(pick(gram[r])) for r in comp]
+        parts.append((block, *_bareiss(block)))
+    return parts
 
 
 def determinant_and_signature(lattice: Lattice) -> tuple[int, SignaturePair]:
-    """Exact determinant and signature, one orthogonal component at a time
-    (`_bareiss`): det multiplies and the signature counts add."""
-    gram = lattice.gram
-    det, counts = 1, [0, 0, 0]
-    for comp in _components(gram):
-        d, _, sig = _bareiss(_block(gram, comp))
-        det *= d
-        counts = [n + m for n, m in zip(counts, (sig.positives, sig.negatives, sig.zeros))]
-    return det, SignaturePair(*counts)
+    """Exact determinant and signature: the components' dets multiply and
+    their signature counts add."""
+    parts = _eliminate(lattice.gram)
+    counts = [sum(sig[k] for *_, sig in parts) for k in range(3)]
+    return math.prod(det for _, det, _, _ in parts), SignaturePair(*counts)
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, SignaturePair]:
@@ -366,30 +369,29 @@ def discriminant_group(lattice: Lattice) -> DiscGroup:
     groups: each orthogonal component is reduced on its own (`_smith_mod`),
     and a gcd/lcm sweep puts all their cyclic factors in divisibility order.
     """
-    return DiscGroup(_invariant_factors(_component_dets(lattice.gram)))
+    parts = _eliminate(lattice.gram)
+    _disc_order(parts)  # a degenerate lattice raises
+    return DiscGroup(_invariant_factors(parts))
 
 
-def _component_dets(gram: Gram) -> list[tuple[list[list[int]], int, int]]:
-    """(block, |det|, gcd(|det|, M_{n-1})) per orthogonal component; raises on a 0."""
-    triples = []
-    for comp in _components(gram):
-        block = _block(gram, comp)
-        det, minor, _ = _bareiss(block)
-        if det == 0:
-            raise LatticeError("degenerate lattice has no discriminant group")
-        triples.append((block, abs(det), math.gcd(det, minor)))
-    return triples
+def _disc_order(parts: list[tuple]) -> int:
+    """|det|, the order of dual(L)/L; raises on a degenerate lattice."""
+    order = math.prod(abs(det) for _, det, _, _ in parts)
+    if not order:
+        raise LatticeError("degenerate lattice has no discriminant group")
+    return order
 
 
-def _invariant_factors(triples: list[tuple[list[list[int]], int, int]]) -> tuple[int, ...]:
+def _invariant_factors(parts: list[tuple]) -> tuple[int, ...]:
     diagonal = []
-    for block, big_d, g in triples:
+    for block, det, minor, _ in parts:
+        g = math.gcd(det, minor)
         if g == 1:  # cyclic, Z/|det| (nothing for a unimodular component)
-            diagonal.append(big_d)
+            diagonal.append(abs(det))
             continue
         # s_1, ..., s_{n-1} divide g and then comes gcd(s_n, g) > 1: rebuild s_n
         *rest, _ = _divisibility_order(_smith_mod(block, g))
-        diagonal += rest + [big_d // math.prod(rest)]
+        diagonal += rest + [abs(det) // math.prod(rest)]
     return tuple(_divisibility_order(diagonal))
 
 
@@ -472,11 +474,11 @@ def is_p_elementary(lattice: Lattice, p: int) -> bool:
     so the Smith form runs only when that product is a power of p."""
     if p < 2:
         raise LatticeError("p must be at least 2")
-    triples = _component_dets(lattice.gram)
-    order = math.prod(big_d for _, big_d, _ in triples)
+    parts = _eliminate(lattice.gram)
+    order = _disc_order(parts)
     while order % p == 0:
         order //= p
-    return order == 1 and all(f == p for f in _invariant_factors(triples))
+    return order == 1 and all(f == p for f in _invariant_factors(parts))
 
 
 def even_unimodular_exists(positives: int, negatives: int) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import ParseError
+from .errors import ParseError, brief
 from .isometry import CyclotomicMultiset, IsometryPattern
 from .polyfield import FieldContext, Poly, _poly, poly_sum
 
@@ -129,7 +129,7 @@ class Lexer:
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {brief(tok[1] or 'end of input')}", tok[2])
         return self.next()
 
 
@@ -169,7 +169,7 @@ class _PolyParser:
         p = self._expr()
         tok = self.lx.peek()
         if tok[0] != "END":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+            raise ParseError(f"trailing input {brief(tok[1])}", tok[2])
         _check_bits(_bits(p), "polynomial", 0)
         return p
 
@@ -246,10 +246,10 @@ class _PolyParser:
             if value in self.bindings:
                 bound = self.bindings[value]
                 if isinstance(bound, Poly) and bound.context != self.context:
-                    raise ParseError(f"binding {value!r} from another context", pos)
+                    raise ParseError(f"binding {brief(value)} from another context", pos)
                 return bound if isinstance(bound, Poly) else Poly.constant(self.context, bound)
-            raise ParseError(f"unbound name {value!r}", pos)
-        raise ParseError(f"expected a value, found {value or 'end of input'!r}", pos)
+            raise ParseError(f"unbound name {brief(value)}", pos)
+        raise ParseError(f"expected a value, found {brief(value or 'end of input')}", pos)
 
 
 def parse_poly(text: str, context: FieldContext,
@@ -292,7 +292,7 @@ def _parse_pattern_item(lx: Lexer, counts: dict[int, int]) -> None:
             raise ParseError(f"Phi order exceeds the cap {MAX_BLOCK_ORDER}", tok[2])
         lx.expect(")")
     else:
-        raise ParseError(f"expected 1, -1 or Phi(d), found {value or 'end of input'!r}", pos)
+        raise ParseError(f"expected 1, -1 or Phi(d), found {brief(value or 'end of input')}", pos)
     count = 1
     if lx.peek()[0] == "*":
         lx.next()
@@ -319,5 +319,5 @@ def parse_pattern(text: str) -> IsometryPattern:
     transcendental = _parse_multiset_items(lx)
     tok = lx.peek()
     if tok[0] != "END":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        raise ParseError(f"trailing input {brief(tok[1])}", tok[2])
     return IsometryPattern(algebraic, transcendental)

@@ -30,6 +30,7 @@ from .enumerations import (
     order22_replay,
     rank_det_cases,
 )
+from .errors import brief
 from .isometry import LocalAction, local_curve_possible
 from .lattice import Lattice, divisor_class_solve
 from .parsing import parse_poly
@@ -454,6 +455,6 @@ def run_scenarios(selector: str | None = None) -> VerificationReport:
         names = [selector]
     else:
         raise ValueError(
-            f"unknown scenario {selector!r}; known: {', '.join(SCENARIOS)}"
+            f"unknown scenario {brief(selector)}; known: {', '.join(SCENARIOS)}"
         )
     return VerificationReport(tuple(SCENARIOS[name]() for name in names))

@@ -83,13 +83,17 @@ def command(row: Probe, folder) -> list[str]:
 
 
 def spawn(row: Probe) -> tuple:
-    """(code, stdout, stderr) of the row in a fresh interpreter."""
+    """(code, stdout, stderr) of the row in a fresh interpreter; code None
+    when it gives no exit, as when the filesystem encoding cannot carry its argv."""
     env = {k: v for k, v in os.environ.items() if k != "K3_REPORT_FORMAT"}
     env.update(row.env or {}, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
     limit = row.timeout or GUARD
     with tempfile.TemporaryDirectory() as folder:
-        proc = subprocess.Popen([sys.executable, "-m", "k3auto.cli", *command(row, folder)],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", "k3auto.cli", *command(row, folder)],
+                                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        except UnicodeEncodeError as exc:
+            return None, "", f"argv not passed: {exc}"
         if row.read is not None:
             head = proc.stdout.read(row.read)
             proc.stdout.close()
@@ -112,6 +116,7 @@ G = " + ".join(f"({_rng.getrandbits(900)} + {_rng.getrandbits(900)}*w)*t^{k}" fo
 N4000 = "9" * 4000
 M1000 = "9" * 1000  # at the lexer's cap, 3,322 bits
 N5000 = "9" * 5000  # over the cap, and over the interpreter's 4,300 digits
+X5000 = "x" * 5000  # a name as long
 E8x32 = " + ".join(["E8"] * 32)  # rank 256, 593,526 bytes of JSON
 FIBER_ORBITS = {"kind": "fiber_orbits", "total_euler": 24, "allowed_at_zero": ["I0", "II"],
                 "allowed_at_inf": ["I0", "II"], "orbit_allowed": ["I1", "I2", "II"]}
@@ -242,11 +247,16 @@ ROWS = [
           err="error: invalid model: discriminant 4a^3 + 27b^2 vanishes identically\n"),
     Probe("surface_analyze_parse_error", analyze("t +", "1"), code=2,
           err="error: expected a value, found 'end of input' (at position 3)\n"),
-    # d over the |d| cap: once an OverflowError, once an unbounded trial division
-    *(Probe(f"bad_field_spec_is_usage_error[{spec if len(spec) < 40 else 'w2=10^309'}]",
-            analyze("0", "t", spec), code=2)
-      for spec in ("w2=0", "w2=4", "w2=x", "d=-3", "w2=1", "w2=1" + "0" * 309,
-                   "w2=1000000000000000000000000000057")),
+    # d over the |d| cap (10^309 was once an OverflowError, the 31-digit d once an
+    # unbounded trial division); a d or spec over 40 characters is named by its first 40
+    *(Probe(f"bad_field_spec_is_usage_error[{spec}]", analyze("0", "t", spec), code=2)
+      for spec in ("w2=0", "w2=4", "w2=x", "d=-3", "w2=1", "w2=1000000000000000000000000000057")),
+    Probe("bad_field_spec_is_usage_error[w2=10^309]", analyze("0", "t", "w2=1" + "0" * 309),
+          code=2, err=("error: |d| must be at most 10000000000, "
+                       f"got 1{'0' * 39}... (310 characters)\n")),
+    Probe("bad_field_spec_is_usage_error[w2=<5000 digits>]", analyze("0", "t", f"w2={N5000}"),
+          code=2, err=("error: --field needs an integer after w2=, "
+                       f"not 'w2={N5000[:37]}'... (5003 characters)\n")),
     # at MAX_COEFF_BITS: one bit more in 137438953471 or 131071 is refused;
     # the slowest input of this shape found, about 2 s
     Probe("worst_accepted_coefficients_are_answered", analyze(*UNDER_BUDGET, "w2=-1"),
@@ -324,6 +334,15 @@ ROWS = [
           ("kind_list", {"kind": ["lefschetz"]}, "unknown scenario kind"),
           ("pattern_int", {"kind": "lefschetz", "pattern": 5}, "'pattern'"),
           ("scenario_list", {"kind": "order22", "scenario": ["lemma9"]}, "'scenario'"))),
+    # a bad value over 40 characters is named by its first 40 and its length
+    Probe("enumerate_malformed_config[101-entry allowed list]", ("enumerate",), code=2,
+          config=json.dumps({**FIBER_ORBITS, "allowed_at_zero": ["I0"] * 100 + [1]}),
+          err=("error: config field 'allowed_at_zero' must be a list of strings, got "
+               "['I0', 'I0', 'I0', 'I0', 'I0', 'I0', 'I0... (603 characters)\n")),
+    Probe("enumerate_malformed_config[5000-character kind]", ("enumerate",), code=2,
+          config=json.dumps({"kind": "k" * 5000}),
+          err=(f"error: unknown scenario kind '{'k' * 39}... (5002 characters); "
+               "known: fiber_orbits, lefschetz, order22\n")),
     # a JSON integer past the interpreter's 4,300 digits, refused before int()
     Probe("enumerate_malformed_config[5000-digit total_euler]", ("enumerate",), code=2,
           config=json.dumps(FIBER_ORBITS).replace('"total_euler": 24', f'"total_euler": {N5000}'),
@@ -348,7 +367,7 @@ ROWS = [
           config=orbits(24, ["I01"], inf=["II"]), err="error: unknown fiber type 'I01'\n"),
     Probe("unknown_fiber_type[I<5000 digits>]", ("enumerate",), code=2,
           config=orbits(24, ["I1"], zero=[f"I{N5000}"]),
-          err=f"error: unknown fiber type 'I{N5000}'\n"),
+          err=f"error: unknown fiber type 'I{N5000[:39]}'... (5001 characters)\n"),
     Probe("unknown_fiber_type[I<non-ASCII digit>]", ("enumerate",), code=2,
           config=orbits(24, ["I\u0662"]), err="error: unknown fiber type 'I\u0662'\n"),
     Probe("unknown_fiber_type[I1<newline>]", ("enumerate",), code=2,
@@ -419,6 +438,17 @@ ROWS = [
             ("lattice", f"U + {name}{N5000}"),
             code=2, err="error: index over 1000 digits at position 4\n")
       for name in ("A", "D", "A1")),
+    # a message names a token of over 40 characters by its first 40 and its length
+    Probe("long_input_is_named_briefly[unbound name]", analyze(f"t + {X5000}", "t"), code=2,
+          err=f"error: unbound name '{X5000[:40]}'... (5000 characters) (at position 4)\n"),
+    Probe("long_input_is_named_briefly[trailing input]", analyze(f"t {X5000}", "t"), code=2,
+          err=f"error: trailing input '{X5000[:40]}'... (5000 characters) (at position 2)\n"),
+    Probe("long_input_is_named_briefly[verify scenario]", ("verify", "paper", X5000), code=2,
+          err_has=(f"error: unknown scenario '{X5000[:40]}'... (5000 characters); known: ",)),
+    Probe("long_input_is_named_briefly[order22 scenario]", ("enumerate",), code=2,
+          config=json.dumps({"kind": "order22", "scenario": X5000}),
+          err=(f"error: unknown scenario '{X5000[:40]}'... (5000 characters); "
+               "known: control, lemma1, lemma9\n")),
     Probe("non_ascii_digit_is_usage_error[lattice]", ("lattice", "A²"), code=2,
           err="error: unexpected character '²' (at position 1)\n"),
     Probe("non_ascii_digit_is_usage_error[poly]", analyze("1", "t^²"), code=2,
@@ -427,6 +457,7 @@ ROWS = [
 
 
 def main() -> int:
+    sys.stdout.reconfigure(errors="backslashreplace")  # a row's argv may not encode
     failed = 0
     for row in ROWS:
         found = failures(row, *spawn(row))

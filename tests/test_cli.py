@@ -53,6 +53,19 @@ for _group, _cases in _GROUPS.items():
     globals()[f"test_{_group}"] = _probe_test(_cases)
 
 
+def test_probe_run_reports_an_unencodable_argv_and_goes_on(capsys, monkeypatch):
+    # no filesystem encoding carries a lone surrogate, so under any locale
+    # the row cannot be spawned: it fails, and the next row still runs
+    bad = cli_probes.Probe("bad", ("lattice", "\ud800"), code=2)
+    code, out, err = cli_probes.spawn(bad)
+    assert code is None and err.startswith("argv not passed: ")
+    assert cli_probes.failures(bad, code, out, err)
+    good = cli_probes.Probe("good", ("lattice", "U"), json={"det": -1})
+    monkeypatch.setattr(cli_probes, "ROWS", [bad, good])
+    assert cli_probes.main() == 1
+    assert capsys.readouterr().out.endswith("1 of 2 probes pass\n")
+
+
 def test_leading_minus_polynomials_are_accepted(capsys):
     # argv normalization must keep "-3*t^2" out of argparse's flag parsing
     code, out, _ = run(

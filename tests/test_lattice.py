@@ -2,6 +2,7 @@
 determinant, Smith form, and the signature from the sign pattern of the
 characteristic polynomial."""
 
+import json
 import math
 import random
 
@@ -9,8 +10,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from helpers import congruent_gram, random_gram, random_unimodular
+from helpers import congruent_gram, load_perfbench, random_gram, random_unimodular
 
+from k3auto import cli, lattice
 from k3auto.errors import LatticeError, LatticeExprError
 from k3auto.lattice import (
     DivisorSolveResult,
@@ -28,7 +30,7 @@ from k3auto.lattice import (
     root_lattice_D,
     root_lattice_E,
     _bareiss,
-    _component_dets,
+    _eliminate,
 )
 
 BATTERY = {
@@ -451,23 +453,68 @@ def test_smith_form_mod_gcd_matches_oracle():
     for _ in range(400):
         lat = sparse_gram(rng, rng.randint(1, 8), rng.choice((0.45, 0.55)))
         lat = lat.twist(rng.choice((1, 2, 3, 11)))
-        try:
-            triples = _component_dets(lat.gram)
-        except LatticeError:  # a degenerate component
+        parts = _eliminate(lat.gram)
+        if any(det == 0 for _, det, _, _ in parts):  # a degenerate component
             with pytest.raises(LatticeError):
                 discriminant_group(lat)
+            with pytest.raises(LatticeError):  # before the power-of-p loop
+                is_p_elementary(lat, 11)
             continue
         factors = oracle_invariant_factors(lat.gram)
         assert discriminant_group(lat).invariant_factors == factors, lat.gram
         expected = all(f == 11 for f in factors)
         assert is_p_elementary(lat, 11) == expected, lat.gram
         elementary += expected and bool(factors)
-        for block, _, g in triples:
+        for block, det, minor, _ in parts:
+            g = math.gcd(det, minor)
             cyclic += g == 1 and len(block) > 1
             reduced += g > 1
             zero_pivot += any(not det_mod_prime([row[:m] for row in block[:m]], 2**61 - 1)
                               for m in range(1, len(block)))
     assert cyclic and reduced and zero_pivot and elementary
+
+
+def _lattice_report(capsys, monkeypatch, lat) -> dict:
+    """The `lattice` command's JSON report on `lat`, whatever its expression."""
+    monkeypatch.setattr(cli, "build_lattice", lambda expr: lat)
+    assert cli.main(["lattice", "L"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_lattice_report_flag_agrees_with_is_p_elementary(capsys, monkeypatch):
+    # the report reads 11-elementarity off the group it prints; the library
+    # decides it by |det| first: the two must agree
+    lattices = [build_lattice(expr) for expr in load_perfbench("workloads").LATTICE_FIXED_EXPRS]
+    rng = random.Random(1919)
+    while len(lattices) < 150:
+        lat = sparse_gram(rng, rng.randint(1, 8), rng.choice((0.45, 0.55)))
+        if determinant_and_signature(lat)[0]:
+            lattices.append(lat.twist(rng.choice((1, 2, 3, 11))))
+    flags = []
+    for lat in lattices:
+        flags.append(_lattice_report(capsys, monkeypatch, lat)["eleven_elementary"])
+        assert flags[-1] == is_p_elementary(lat, 11), lat.gram
+    assert True in flags and False in flags
+
+
+def test_lattice_command_eliminates_twice_and_reduces_once(capsys, monkeypatch):
+    # U(11), E8(11) and A10: two components with g > 1 and one cyclic one
+    expr = "U(11) + E8(11) + A10"
+    reduced = sum(math.gcd(det, minor) > 1 for _, det, minor, _ in _eliminate(
+        build_lattice(expr).gram))
+    assert reduced == 2
+    calls = {"_components": 0, "_smith_mod": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(lattice, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(lattice, name, spy)
+    assert cli.main(["lattice", expr]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["discriminant_group"] == [11] * 11
+    assert report["eleven_elementary"] is True
+    assert calls["_components"] <= 2
+    assert calls["_smith_mod"] == reduced
 
 
 def test_bareiss_minor_bounds_the_largest_factor():
