@@ -150,7 +150,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # Config fields are checked before use; a bad one is a usage error naming
 # the field.  A missing required key raises KeyError ("missing key").
 def _bad_field(key: str, want: str, value) -> ValueError:
-    return ValueError(f"config field {key!r} must be {want}, got {brief(repr(value), str)}")
+    return ValueError(f"config field {key!r} must be {want}, got {brief(value)}")
 
 
 def _positive_int(config: dict, key: str, default: int | None = None) -> int:
@@ -248,7 +248,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     runner = _SCENARIO_KINDS.get(kind) if isinstance(kind, str) else None
     if runner is None:
         known = ", ".join(sorted(_SCENARIO_KINDS))
-        raise ValueError(f"unknown scenario kind {brief(repr(kind), str)}; known: {known}")
+        raise ValueError(f"unknown scenario kind {brief(kind)}; known: {known}")
     try:
         rendition = runner(config, fmt)
     except KeyError as exc:

@@ -3,12 +3,17 @@
 from operator import attrgetter
 
 
-def brief(token: str, show=repr, limit: int = 40) -> str:
-    """How an error message names a bad input: ``show(token)``, or for a
-    longer token ``show`` of its first `limit` characters and its length."""
-    if len(token) <= limit:
-        return show(token)
-    return f"{show(token[:limit])}... ({len(token)} characters)"
+BRIEF_LIMIT = 40
+
+
+def brief(value) -> str:
+    """A bad input as an error message names it: its repr, or past BRIEF_LIMIT
+    characters (a string's own, else its repr's) the first of them and the count."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= BRIEF_LIMIT:
+        return repr(value)
+    head = repr(text[:BRIEF_LIMIT]) if text is value else text[:BRIEF_LIMIT]
+    return f"{head}... ({len(text)} characters)"
 
 
 class K3AutoError(Exception):

@@ -16,8 +16,7 @@ Invariants are exact, all read off one pass (`_eliminate`): each orthogonal
 component's det, signature and M_{n-1}, the pivot before the last, by a Bareiss
 elimination that touches only the rows it eliminates.  A discriminant group is
 a Smith form mod gcd(|det|, M_{n-1}), or none where that gcd is 1 (cyclic) or,
-in `is_p_elementary`, where |det| is not a power of p; `k3auto lattice` reads
-11-elementarity off the group it prints.
+in `is_p_elementary`, where |det| is not a power of p.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class FieldContext(Record):
     def __init__(self, d: int | None = None):
         if d is not None:
             if abs(d) > MAX_ABS_D:
-                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {brief(str(d), str)}")
+                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {brief(d)}")
             if d == 1 or not _is_squarefree_int(d):
                 raise ValueError(f"d must be squarefree and not a square, got {d}")
         object.__setattr__(self, "d", d)

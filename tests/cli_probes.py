@@ -341,8 +341,16 @@ ROWS = [
                "['I0', 'I0', 'I0', 'I0', 'I0', 'I0', 'I0... (603 characters)\n")),
     Probe("enumerate_malformed_config[5000-character kind]", ("enumerate",), code=2,
           config=json.dumps({"kind": "k" * 5000}),
-          err=(f"error: unknown scenario kind '{'k' * 39}... (5002 characters); "
+          err=(f"error: unknown scenario kind '{'k' * 40}'... (5000 characters); "
                "known: fiber_orbits, lefschetz, order22\n")),
+    Probe("enumerate_malformed_config[40-character kind]", ("enumerate",), code=2,
+          config=json.dumps({"kind": "k" * 40}),  # at the cap: repeated whole
+          err=(f"error: unknown scenario kind '{'k' * 40}'; "
+               "known: fiber_orbits, lefschetz, order22\n")),
+    Probe("enumerate_malformed_config[5000-character total_euler]", ("enumerate",), code=2,
+          config=json.dumps({**FIBER_ORBITS, "total_euler": "e" * 5000}),
+          err=("error: config field 'total_euler' must be an integer >= 1, got "
+               f"'{'e' * 40}'... (5000 characters)\n")),
     # a JSON integer past the interpreter's 4,300 digits, refused before int()
     Probe("enumerate_malformed_config[5000-digit total_euler]", ("enumerate",), code=2,
           config=json.dumps(FIBER_ORBITS).replace('"total_euler": 24', f'"total_euler": {N5000}'),
